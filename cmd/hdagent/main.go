@@ -1,10 +1,10 @@
 // Command hdagent runs a HyperDrive node agent (paper §4.2, component
 // ⑥): a daemon that executes training jobs on behalf of a remote
-// scheduler, streams application statistics, optionally computes
-// learning-curve predictions locally (distributed prediction, §5.2),
-// and implements suspend/resume via checkpoint images.
+// scheduler, streams application statistics, and implements
+// suspend/resume via checkpoint images. Learning-curve prediction runs
+// in the scheduler's policy, which holds every job's metric history.
 //
-//	hdagent -listen :7070 -slots 2 -speedup 600 -predict
+//	hdagent -listen :7070 -slots 2 -speedup 600
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 	"github.com/hyperdrive-ml/hyperdrive/internal/checkpoint"
 	"github.com/hyperdrive-ml/hyperdrive/internal/clock"
 	"github.com/hyperdrive-ml/hyperdrive/internal/cluster"
-	"github.com/hyperdrive-ml/hyperdrive/internal/curve"
 	"github.com/hyperdrive-ml/hyperdrive/internal/obs"
 )
 
@@ -40,8 +39,6 @@ func run(args []string) error {
 		slots    = fs.Int("slots", 1, "concurrent training slots")
 		speedup  = fs.Float64("speedup", 600, "clock compression factor")
 		ckpt     = fs.String("checkpoint", "framework", "snapshot model: framework | criu")
-		predict  = fs.Bool("predict", false, "run curve prediction locally (§5.2 distributed prediction)")
-		budget   = fs.String("predictor", "fast", "prediction budget: fast | paper | original")
 		seedFlag = fs.Int64("seed", 1, "checkpoint model seed")
 		obsAddr  = fs.String("obs", "", "serve the introspection endpoint (/metrics, /metrics.json) on this address")
 		pprof    = fs.Bool("pprof", false, "mount /debug/pprof/ on the introspection endpoint")
@@ -89,25 +86,6 @@ func run(args []string) error {
 		TraceSink:      sink,
 		Logf:           log.Printf,
 	}
-	if *predict {
-		var cfg curve.Config
-		switch *budget {
-		case "fast":
-			cfg = curve.FastConfig()
-		case "paper":
-			cfg = curve.PaperConfig()
-		case "original":
-			cfg = curve.OriginalConfig()
-		default:
-			return fmt.Errorf("unknown predictor budget %q", *budget)
-		}
-		p, err := curve.NewPredictor(cfg)
-		if err != nil {
-			return err
-		}
-		opts.Predictor = p
-	}
-
 	agent, err := cluster.NewAgent(opts)
 	if err != nil {
 		return err
@@ -126,8 +104,8 @@ func run(args []string) error {
 		log.Printf("hdagent: chaos enabled (delay %v ±%g, drop-after %d, seed %d)",
 			*chaosDelay, *chaosJitter, *chaosDrop, *chaosSeed)
 	}
-	log.Printf("hdagent: listening on %s with %d slots (speedup %gx, checkpoint %s, predict %v)",
-		l.Addr(), *slots, *speedup, mode, *predict)
+	log.Printf("hdagent: listening on %s with %d slots (speedup %gx, checkpoint %s)",
+		l.Addr(), *slots, *speedup, mode)
 
 	var obsSrv *http.Server
 	if *obsAddr != "" {

@@ -30,7 +30,6 @@ type DB struct {
 	mu        sync.RWMutex
 	stats     map[sched.JobID][]Stat
 	snapshots map[sched.JobID]Snapshot
-	preds     map[sched.JobID][]Prediction
 	best      map[sched.JobID]float64
 	gBest     float64
 	gBestJob  sched.JobID
@@ -45,22 +44,11 @@ type Snapshot struct {
 	At    time.Time
 }
 
-// Prediction is an agent-side learning-curve prediction result
-// reported alongside stats (§5.2 distributed curve prediction): the
-// probability of reaching the target computed on the node agent, in
-// parallel with training.
-type Prediction struct {
-	Epoch int
-	Value float64
-	At    time.Time
-}
-
 // NewDB returns an empty database.
 func NewDB() *DB {
 	return &DB{
 		stats:     make(map[sched.JobID][]Stat),
 		snapshots: make(map[sched.JobID]Snapshot),
-		preds:     make(map[sched.JobID][]Prediction),
 		best:      make(map[sched.JobID]float64),
 	}
 }
@@ -181,31 +169,6 @@ func (db *DB) GetSnapshot(job sched.JobID) (Snapshot, error) {
 	return s, nil
 }
 
-// ReportPrediction records an agent-side prediction result.
-func (db *DB) ReportPrediction(job sched.JobID, p Prediction) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.preds[job] = append(db.preds[job], p)
-}
-
-// LatestPrediction returns the most recent agent-side prediction.
-func (db *DB) LatestPrediction(job sched.JobID) (Prediction, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	ps := db.preds[job]
-	if len(ps) == 0 {
-		return Prediction{}, false
-	}
-	return ps[len(ps)-1], true
-}
-
-// Predictions returns all recorded agent-side predictions for a job.
-func (db *DB) Predictions(job sched.JobID) []Prediction {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return append([]Prediction(nil), db.preds[job]...)
-}
-
 // DeleteJob drops all state for a job (after termination, to bound
 // memory in long sweeps).
 func (db *DB) DeleteJob(job sched.JobID) {
@@ -213,7 +176,6 @@ func (db *DB) DeleteJob(job sched.JobID) {
 	defer db.mu.Unlock()
 	delete(db.stats, job)
 	delete(db.snapshots, job)
-	delete(db.preds, job)
 	delete(db.best, job)
 }
 

@@ -213,23 +213,3 @@ func TestLoadRejectsGarbageAndVersions(t *testing.T) {
 		t.Fatal("Load accepted unknown version")
 	}
 }
-
-func TestPredictions(t *testing.T) {
-	db := NewDB()
-	if _, ok := db.LatestPrediction("a"); ok {
-		t.Fatal("prediction on empty DB")
-	}
-	db.ReportPrediction("a", Prediction{Epoch: 10, Value: 0.3})
-	db.ReportPrediction("a", Prediction{Epoch: 20, Value: 0.6})
-	p, ok := db.LatestPrediction("a")
-	if !ok || p.Epoch != 20 || p.Value != 0.6 {
-		t.Fatalf("latest = %+v, %v", p, ok)
-	}
-	if got := db.Predictions("a"); len(got) != 2 {
-		t.Fatalf("predictions = %v", got)
-	}
-	db.DeleteJob("a")
-	if _, ok := db.LatestPrediction("a"); ok {
-		t.Fatal("prediction survived delete")
-	}
-}

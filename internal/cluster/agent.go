@@ -9,7 +9,6 @@ import (
 
 	"github.com/hyperdrive-ml/hyperdrive/internal/checkpoint"
 	"github.com/hyperdrive-ml/hyperdrive/internal/clock"
-	"github.com/hyperdrive-ml/hyperdrive/internal/curve"
 	"github.com/hyperdrive-ml/hyperdrive/internal/obs"
 	"github.com/hyperdrive-ml/hyperdrive/internal/sched"
 	"github.com/hyperdrive-ml/hyperdrive/internal/wire"
@@ -30,14 +29,9 @@ type AgentOptions struct {
 	CheckpointMode checkpoint.Mode
 	// Seed seeds the capture model.
 	Seed int64
-	// Predictor, when non-nil, enables distributed curve prediction
-	// (paper §5.2): the agent fits the learning curve locally, in
-	// parallel with training, and piggybacks the latest p-value on its
-	// stat reports.
-	Predictor *curve.Predictor
 	// Obs, when non-nil, receives agent telemetry (jobs running, stats
-	// forwarded, snapshots taken, local fit metrics) plus the agent-side
-	// spans of distributed traces.
+	// forwarded, snapshots taken) plus the agent-side spans of
+	// distributed traces.
 	Obs *obs.Registry
 	// TraceSink, when non-nil, accumulates Chrome trace events for the
 	// agent's job lifecycle (one track per job).
@@ -48,8 +42,9 @@ type AgentOptions struct {
 
 // Agent is the Node Agent daemon (paper §4.2, component ⑥): it
 // executes training jobs on behalf of the scheduler, forwards
-// application statistics, performs local curve prediction, and
-// implements suspend/resume via checkpoint images.
+// application statistics, and implements suspend/resume via
+// checkpoint images. Learning-curve prediction runs in the
+// scheduler's policy, not here.
 type Agent struct {
 	opts     AgentOptions
 	registry *workload.Registry
@@ -62,27 +57,13 @@ type Agent struct {
 	snapsTotal  *obs.Counter
 
 	mu      sync.Mutex
-	jobs    map[sched.JobID]*agentJob
+	jobs    map[sched.JobID]*trainingJob
 	ident   string // resolved agent ID (set per connection)
 	closed  bool
 	closeCh chan struct{}
 	wg      sync.WaitGroup
 
 	originOnce sync.Once // namespaces the tracer's IDs once
-}
-
-// agentJob is one running job on the agent.
-type agentJob struct {
-	spec     wire.StartJobPayload
-	decision chan DecisionReply
-	stop     chan struct{}
-	history  []float64
-	span     *obs.Span // run span: opened at start, finished at exit
-
-	predMu  sync.Mutex
-	pval    float64
-	hasPval bool
-	fitting bool
 }
 
 // NewAgent builds an agent.
@@ -107,9 +88,6 @@ func NewAgent(opts AgentOptions) (*Agent, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...interface{}) {}
 	}
-	if opts.Predictor != nil {
-		opts.Predictor.Instrument(opts.Obs)
-	}
 	return &Agent{
 		opts:        opts,
 		registry:    opts.Registry,
@@ -118,7 +96,7 @@ func NewAgent(opts AgentOptions) (*Agent, error) {
 		jobsRunning: opts.Obs.Gauge(obs.AgentJobsRunning),
 		statsTotal:  opts.Obs.Counter(obs.AgentStatsTotal),
 		snapsTotal:  opts.Obs.Counter(obs.AgentSnapshotsTotal),
-		jobs:        make(map[sched.JobID]*agentJob),
+		jobs:        make(map[sched.JobID]*trainingJob),
 		closeCh:     make(chan struct{}),
 	}, nil
 }
@@ -150,7 +128,7 @@ func (a *Agent) Close() error {
 	a.closed = true
 	close(a.closeCh)
 	for _, j := range a.jobs {
-		close(j.stop)
+		j.requestStop()
 	}
 	a.mu.Unlock()
 	a.wg.Wait()
@@ -292,19 +270,14 @@ func (a *Agent) sendError(conn *wire.Conn, jobID string, err error) {
 
 // startJob validates and launches a training loop.
 func (a *Agent) startJob(conn *wire.Conn, sb *statBatcher, p wire.StartJobPayload) error {
-	spec, err := a.registry.Lookup(p.Workload)
+	resume := len(p.Snapshot) > 0
+	j, err := newTrainingJob(a.registry, StartSpec{
+		Job: sched.JobID(p.JobID), Workload: p.Workload, Config: p.Config,
+		Seed: p.Seed, MaxEpoch: p.MaxEpoch, Snapshot: p.Snapshot,
+		Trace: obs.SpanContext{TraceID: p.TraceID, SpanID: p.SpanID},
+	})
 	if err != nil {
 		return err
-	}
-	trainer := spec.New(p.Config, p.Seed)
-	if len(p.Snapshot) > 0 {
-		payload, err := checkpoint.Decode(p.Snapshot)
-		if err != nil {
-			return fmt.Errorf("resume %s: %w", p.JobID, err)
-		}
-		if err := trainer.Restore(payload); err != nil {
-			return fmt.Errorf("resume %s: %w", p.JobID, err)
-		}
 	}
 
 	a.mu.Lock()
@@ -315,36 +288,39 @@ func (a *Agent) startJob(conn *wire.Conn, sb *statBatcher, p wire.StartJobPayloa
 	if len(a.jobs) >= a.opts.Slots {
 		return fmt.Errorf("no free slot (have %d)", a.opts.Slots)
 	}
-	if _, dup := a.jobs[sched.JobID(p.JobID)]; dup {
+	if _, dup := a.jobs[j.spec.Job]; dup {
 		return fmt.Errorf("job %s already running", p.JobID)
-	}
-	j := &agentJob{
-		spec:     p,
-		decision: make(chan DecisionReply, 1),
-		stop:     make(chan struct{}),
-		history:  append([]float64(nil), p.History...),
 	}
 	// Open the run span as a child of the scheduler-side span that
 	// caused this placement; it stays open until the job leaves the
 	// slot and its context is echoed on every frame the job emits.
 	name := "agent_start"
-	if len(p.Snapshot) > 0 {
+	if resume {
 		name = "agent_resume"
 	}
-	j.span = a.opts.Obs.Tracer().StartSpan(name, p.JobID, trainer.Epoch(),
-		obs.SpanContext{TraceID: p.TraceID, SpanID: p.SpanID})
-	j.span.SetStr("agent", a.ident)
+	epoch := j.trainer.Epoch()
+	tracer := a.opts.Obs.Tracer()
+	span := tracer.StartSpan(name, p.JobID, epoch, j.spec.Trace)
+	span.SetStr("agent", a.ident)
 	a.opts.Obs.Flight().JobLive(p.JobID)
 	// The propagated context goes into the slice args too, so an
 	// agent-side trace file can be stitched to the scheduler's by
 	// trace ID / parent span.
 	a.opts.TraceSink.Begin("agent "+a.ident, "job "+p.JobID, name, a.clk.Now(),
-		map[string]interface{}{"epoch": trainer.Epoch(), "resume": len(p.Snapshot) > 0,
+		map[string]interface{}{"epoch": epoch, "resume": resume,
 			"trace": p.TraceID, "parent_span": p.SpanID})
-	a.jobs[sched.JobID(p.JobID)] = j
+	a.jobs[j.spec.Job] = j
 	a.jobsRunning.Set(float64(len(a.jobs)))
+	runCtx := span.Context()
+	sink := &agentSink{
+		a: a, j: j, conn: conn, sb: sb, tracer: tracer, ident: a.ident, span: span,
+		wctx: wire.TraceContext{TraceID: runCtx.TraceID, SpanID: runCtx.SpanID},
+	}
 	a.wg.Add(1)
-	go a.runJob(conn, sb, j, trainer, spec)
+	go func() {
+		defer a.wg.Done()
+		j.run(a.clk, a.capturer, sink)
+	}()
 	return nil
 }
 
@@ -372,17 +348,16 @@ func (a *Agent) deliverDecision(p wire.DecisionPayload) {
 		Class:      p.Class,
 	}
 	select {
-	case j.decision <- dr:
+	case j.verdict <- dr:
 	default: // stale decision; drop
 	}
 }
 
 func (a *Agent) terminateJob(id sched.JobID) {
 	a.mu.Lock()
-	j, ok := a.jobs[id]
-	a.mu.Unlock()
-	if ok {
-		close(j.stop)
+	defer a.mu.Unlock()
+	if j, ok := a.jobs[id]; ok {
+		j.requestStop()
 	}
 }
 
@@ -390,192 +365,116 @@ func (a *Agent) stopAllJobs() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, j := range a.jobs {
-		select {
-		case <-j.stop:
-		default:
-			close(j.stop)
-		}
+		j.requestStop()
 	}
 }
 
-// identity returns the agent ID resolved at handshake time.
-func (a *Agent) identity() string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ident
+// agentSink reports one agent job's progress as wire frames on the
+// scheduler connection that started it, and records the job's
+// agent-side spans and trace events.
+type agentSink struct {
+	a      *Agent
+	j      *trainingJob
+	conn   *wire.Conn
+	sb     *statBatcher
+	tracer *obs.Tracer
+	ident  string
+	span   *obs.Span // run span: opened at start, finished at exit
+	// wctx is the run span's context, echoed on every frame this job
+	// emits so the scheduler can parent its decision spans under it.
+	wctx    wire.TraceContext
+	suspend *obs.Span // open agent_suspend span while snapshotting
+	dead    bool      // a send failed: the connection is gone
 }
 
-func (a *Agent) release(id sched.JobID) {
-	a.mu.Lock()
-	delete(a.jobs, id)
-	a.jobsRunning.Set(float64(len(a.jobs)))
-	a.mu.Unlock()
+// send carries the ordered control frames (IterDone, Snapshot,
+// JobExited); flushing the stat batcher first preserves the per-job
+// stat-before-boundary ordering the scheduler's DB relies on.
+func (s *agentSink) send(t wire.MsgType, payload interface{}) bool {
+	if err := s.sb.flush(); err != nil {
+		s.a.opts.Logf("agent: flush stats before %s: %v", t, err)
+		s.dead = true
+		return false
+	}
+	if err := s.conn.SendTyped(t, payload); err != nil {
+		s.a.opts.Logf("agent: send %s: %v", t, err)
+		s.dead = true
+		return false
+	}
+	return true
 }
 
-// runJob is the agent-side training loop: train an epoch, report the
-// stat (with the freshest local prediction piggybacked), raise the
-// iteration boundary, and act on the scheduler's decision.
-func (a *Agent) runJob(conn *wire.Conn, sb *statBatcher, j *agentJob, trainer workload.Trainer, spec workload.Spec) {
-	defer a.wg.Done()
-	defer a.release(sched.JobID(j.spec.JobID))
-	// send carries the ordered control frames (IterDone, Snapshot,
-	// JobExited); flushing the stat batcher first preserves the per-job
-	// stat-before-boundary ordering the scheduler's DB relies on.
-	send := func(t wire.MsgType, payload interface{}) bool {
-		if err := sb.flush(); err != nil {
-			a.opts.Logf("agent: flush stats before %s: %v", t, err)
-			return false
-		}
-		if err := conn.SendTyped(t, payload); err != nil {
-			a.opts.Logf("agent: send %s: %v", t, err)
-			return false
-		}
-		return true
+func (s *agentSink) stat(st workload.Sample) bool {
+	if err := s.sb.add(wire.AppStatPayload{
+		JobID: string(s.j.spec.Job), Epoch: st.Epoch, Metric: st.Metric, Dur0nsec: int64(st.Duration),
+	}); err != nil {
+		s.a.opts.Logf("agent: send %s: %v", wire.MsgAppStat, err)
+		s.dead = true
+		return false
 	}
-	// runCtx is echoed on every frame this job emits, so the scheduler
-	// can parent its decision spans under the agent's run span.
-	runCtx := j.span.Context()
-	wctx := wire.TraceContext{TraceID: runCtx.TraceID, SpanID: runCtx.SpanID}
-	tracer := a.opts.Obs.Tracer()
-	ident := a.identity()
-	// exit closes out the job's tracing state exactly once: the run
-	// span finishes, its spans unpin from the flight recorder, and the
-	// job's trace-event slice closes.
-	exit := func(reason string) {
-		j.span.SetStr("exit", reason)
-		tracer.Finish(j.span)
-		a.opts.Obs.Flight().JobDone(j.spec.JobID)
-		a.opts.TraceSink.Instant("agent "+ident, "job "+j.spec.JobID, reason, a.clk.Now(), nil)
-		a.opts.TraceSink.End("agent "+ident, "job "+j.spec.JobID, a.clk.Now())
-	}
-
-	for {
-		select {
-		case <-j.stop:
-			exit("terminated")
-			send(wire.MsgJobExited, wire.JobExitedPayload{JobID: j.spec.JobID, Epoch: trainer.Epoch(), Reason: "terminated", TraceContext: wctx})
-			return
-		default:
-		}
-
-		s, done := trainer.Step()
-		a.clk.Sleep(s.Duration)
-		j.history = append(j.history, s.Metric)
-
-		stat := wire.AppStatPayload{
-			JobID:    j.spec.JobID,
-			Epoch:    s.Epoch,
-			Metric:   s.Metric,
-			Dur0nsec: int64(s.Duration),
-		}
-		j.predMu.Lock()
-		if j.hasPval {
-			stat.Predict, stat.HasPred = j.pval, true
-		}
-		j.predMu.Unlock()
-		if err := sb.add(stat); err != nil {
-			a.opts.Logf("agent: send %s: %v", wire.MsgAppStat, err)
-			return
-		}
-		a.statsTotal.Inc()
-		if done {
-			exit("completed")
-			send(wire.MsgJobExited, wire.JobExitedPayload{JobID: j.spec.JobID, Epoch: s.Epoch, Reason: "completed", TraceContext: wctx})
-			return
-		}
-
-		// Distributed curve prediction (§5.2): kick off a fit in
-		// parallel with training at every evaluation boundary.
-		if a.opts.Predictor != nil && s.Epoch%spec.EvalBoundary() == 0 {
-			a.maybePredict(j, spec)
-		}
-
-		if !send(wire.MsgIterDone, wire.IterDonePayload{JobID: j.spec.JobID, Epoch: s.Epoch, TraceContext: wctx}) {
-			return
-		}
-		var dr DecisionReply
-		select {
-		case dr = <-j.decision:
-		case <-j.stop:
-			exit("terminated")
-			send(wire.MsgJobExited, wire.JobExitedPayload{JobID: j.spec.JobID, Epoch: s.Epoch, Reason: "terminated", TraceContext: wctx})
-			return
-		}
-		// React as a child of the scheduler's decision span when it sent
-		// one; fall back to the run span for untraced schedulers.
-		parent := dr.Trace
-		if !parent.Valid() {
-			parent = runCtx
-		}
-
-		switch dr.Decision {
-		case sched.Terminate:
-			exit("terminated")
-			send(wire.MsgJobExited, wire.JobExitedPayload{JobID: j.spec.JobID, Epoch: s.Epoch, Reason: "terminated", TraceContext: wctx})
-			return
-		case sched.Suspend:
-			ssp := tracer.StartSpan("agent_suspend", j.spec.JobID, s.Epoch, parent)
-			ssp.SetStr("agent", ident)
-			payload, err := trainer.Snapshot()
-			if err != nil {
-				ssp.SetStr("error", err.Error())
-				tracer.Finish(ssp)
-				exit("error")
-				send(wire.MsgJobExited, wire.JobExitedPayload{JobID: j.spec.JobID, Epoch: s.Epoch, Reason: "error", Error: err.Error(), TraceContext: wctx})
-				return
-			}
-			img := a.capturer.Capture(payload)
-			a.clk.Sleep(img.Latency)
-			ssp.SetAttr("snapshot_bytes", float64(img.Size))
-			sctx := ssp.Context()
-			tracer.Finish(ssp)
-			if !send(wire.MsgSnapshot, wire.SnapshotPayload{
-				JobID: j.spec.JobID, Epoch: trainer.Epoch(), State: img.Encode(),
-				TraceContext: wire.TraceContext{TraceID: sctx.TraceID, SpanID: sctx.SpanID},
-			}) {
-				return
-			}
-			a.snapsTotal.Inc()
-			exit("suspended")
-			send(wire.MsgJobExited, wire.JobExitedPayload{JobID: j.spec.JobID, Epoch: trainer.Epoch(), Reason: "suspended", TraceContext: wctx})
-			return
-		default: // Continue
-		}
-	}
+	s.a.statsTotal.Inc()
+	return true
 }
 
-// maybePredict starts an asynchronous curve fit unless one is already
-// running, storing the resulting confidence for the next stat report
-// (overlapping training and prediction, §5.2).
-func (a *Agent) maybePredict(j *agentJob, spec workload.Spec) {
-	j.predMu.Lock()
-	if j.fitting || len(j.history) < curve.MinObservations {
-		j.predMu.Unlock()
+func (s *agentSink) boundary(epoch int) bool {
+	return s.send(wire.MsgIterDone, wire.IterDonePayload{JobID: string(s.j.spec.Job), Epoch: epoch, TraceContext: s.wctx})
+}
+
+// suspending opens the agent_suspend span as a child of the
+// scheduler's decision span when it sent one, else of the run span.
+func (s *agentSink) suspending(epoch int, parent obs.SpanContext) {
+	if !parent.Valid() {
+		parent = s.span.Context()
+	}
+	s.suspend = s.tracer.StartSpan("agent_suspend", string(s.j.spec.Job), epoch, parent)
+	s.suspend.SetStr("agent", s.ident)
+}
+
+func (s *agentSink) snapshot(epoch int, img checkpoint.Image, _ obs.SpanContext) bool {
+	ssp := s.suspend
+	s.suspend = nil
+	ssp.SetAttr("snapshot_bytes", float64(img.Size))
+	sctx := ssp.Context()
+	s.tracer.Finish(ssp)
+	if !s.send(wire.MsgSnapshot, wire.SnapshotPayload{
+		JobID: string(s.j.spec.Job), Epoch: epoch, State: img.Encode(),
+		TraceContext: wire.TraceContext{TraceID: sctx.TraceID, SpanID: sctx.SpanID},
+	}) {
+		return false
+	}
+	s.a.snapsTotal.Inc()
+	return true
+}
+
+// exit closes out the job's tracing state (a snapshot that failed
+// leaves its suspend span open), frees its slot, and only then tells
+// the scheduler the job is gone (unless the connection already
+// failed), so a StartJob answering that JobExited finds the slot free.
+func (s *agentSink) exit(epoch int, reason ExitReason, err error, _ obs.SpanContext) {
+	id := string(s.j.spec.Job)
+	if s.suspend != nil {
+		s.suspend.SetStr("error", err.Error())
+		s.tracer.Finish(s.suspend)
+	}
+	s.span.SetStr("exit", string(reason))
+	s.tracer.Finish(s.span)
+	s.a.opts.Obs.Flight().JobDone(id)
+	s.a.opts.TraceSink.Instant("agent "+s.ident, "job "+id, string(reason), s.a.clk.Now(), nil)
+	s.a.opts.TraceSink.End("agent "+s.ident, "job "+id, s.a.clk.Now())
+
+	s.a.mu.Lock()
+	delete(s.a.jobs, s.j.spec.Job)
+	s.a.jobsRunning.Set(float64(len(s.a.jobs)))
+	s.a.mu.Unlock()
+
+	if s.dead {
 		return
 	}
-	j.fitting = true
-	hist := append([]float64(nil), j.history...)
-	j.predMu.Unlock()
-
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
-		lo, hi := spec.MetricRange()
-		norm := make([]float64, len(hist))
-		for i, v := range hist {
-			norm[i] = (v - lo) / (hi - lo)
-		}
-		target := (spec.Target() - lo) / (hi - lo)
-		post, err := a.opts.Predictor.Fit(norm, spec.MaxEpoch(), int64(len(hist)))
-		j.predMu.Lock()
-		defer j.predMu.Unlock()
-		j.fitting = false
-		if err != nil {
-			return
-		}
-		j.pval = post.ProbAtLeast(spec.MaxEpoch(), target)
-		j.hasPval = true
-	}()
+	p := wire.JobExitedPayload{JobID: id, Epoch: epoch, Reason: string(reason), TraceContext: s.wctx}
+	if err != nil {
+		p.Error = err.Error()
+	}
+	s.send(wire.MsgJobExited, p)
 }
 
 // clockEpoch is the base time for default scaled clocks.

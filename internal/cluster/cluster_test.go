@@ -473,47 +473,6 @@ func TestAgentConnectionLossFailsJobs(t *testing.T) {
 	}
 }
 
-func TestAgentDistributedPrediction(t *testing.T) {
-	pred, err := curve.NewPredictor(tinyPredictor())
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startAgent(t, AgentOptions{ID: "predictive", Slots: 1, Predictor: pred})
-	events := make(chan Event, 4096)
-	client, err := DialAgent(addr, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	cfg := expConfig(t, policy.NewDefault(), 0, 1)
-	cfg.Executor = client
-	cfg.Events = events
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// The agent computes predictions asynchronously and piggybacks
-	// them on stat reports; a full 120-epoch job must have produced at
-	// least one, stored in the AppStat DB (§5.2 distributed curve
-	// prediction).
-	found := false
-	for _, job := range e.db.Jobs() {
-		if _, ok := e.db.LatestPrediction(job); ok {
-			found = true
-			if ps := e.db.Predictions(job); len(ps) == 0 {
-				t.Fatal("LatestPrediction disagrees with Predictions")
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no agent-side predictions reached the AppStat DB")
-	}
-}
-
 func TestExperimentRecordsReplayableTrace(t *testing.T) {
 	rec := trace.NewRecorder(workload.CIFAR10())
 	cfg := expConfig(t, policy.NewDefault(), 2, 4)

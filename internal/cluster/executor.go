@@ -32,8 +32,7 @@ type StartSpec struct {
 	Config   param.Config
 	Seed     int64
 	MaxEpoch int
-	Snapshot []byte    // nil for a fresh start
-	History  []float64 // metric curve so far (resumes; feeds agent-side prediction)
+	Snapshot []byte // nil for a fresh start
 	// Trace carries the job's trace ID plus the scheduler-side span
 	// that caused this placement, so executor-side work is recorded as
 	// its child (zero when tracing is off).
@@ -113,8 +112,6 @@ type Event struct {
 	Epoch    int
 	Metric   float64
 	Duration time.Duration // epoch duration (simulated time)
-	Pred     float64       // agent-side curve prediction (§5.2)
-	HasPred  bool
 	Snapshot []byte
 	SnapSize int           // modeled snapshot size (bytes)
 	SnapLat  time.Duration // modeled capture latency
@@ -136,6 +133,14 @@ type Event struct {
 // the channel supplied at construction. Implementations: the
 // in-process worker pool (WorkerPool) and the remote agent client
 // (AgentClient).
+//
+// Every implementation keeps three rules:
+//
+//  1. Exactly one EvExited follows each successful Start.
+//  2. The executor owns slot occupancy and frees the slot before the
+//     job's EvExited is observable: a slot accepts a new Start as soon
+//     as its EvExited has been received.
+//  3. Nothing is emitted after Close returns.
 type Executor interface {
 	// Slots lists the execution slots this executor provides.
 	Slots() []SlotID

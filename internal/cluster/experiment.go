@@ -519,9 +519,6 @@ func (e *Experiment) handleStat(ev Event) bool {
 	if e.cfg.Recorder != nil {
 		e.cfg.Recorder.Observe(string(ev.Job), ev.Epoch, ev.Metric, ev.Duration)
 	}
-	if ev.HasPred {
-		e.db.ReportPrediction(ev.Job, appstat.Prediction{Epoch: ev.Epoch, Value: ev.Pred, At: e.clk.Now()})
-	}
 	e.met.observeEpoch(ev.Slot, ev.Duration)
 	e.logEvent("stat", ev)
 	if mj, ok := e.jm.Get(ev.Job); ok {
@@ -795,8 +792,22 @@ func (e *Experiment) IdleJobs() int {
 
 // StartIdleJob implements policy.Context: picks between the best
 // suspended job and a fresh configuration (suspended priorities win;
-// FIFO otherwise) and starts it on a reserved slot.
+// FIFO otherwise) and starts it on a reserved slot. It reserves a slot
+// only once it knows there is a job to start: on a shared pool every
+// release wakes the other tenants, so a reserve-then-release with
+// nothing to run would keep idle experiments waking each other.
 func (e *Experiment) StartIdleJob() (sched.JobID, bool) {
+	suspended, haveSuspended := e.jm.GetIdleJob()
+	// Suspended jobs with explicit priority preempt fresh configs;
+	// unlabelled suspended jobs wait behind the fresh configurations
+	// still in the generator (FIFO by queue-insertion order: fresh
+	// configs were "queued" at experiment start, a suspended job
+	// re-enters at the back).
+	canCreate := !e.genDone && e.created < e.cfg.MaxJobs
+	resume := haveSuspended && (suspended.Job.Priority() > 0 || !canCreate)
+	if !resume && !canCreate {
+		return "", false
+	}
 	slot, ok := e.rm.ReserveIdleMachine()
 	if !ok {
 		return "", false
@@ -807,22 +818,10 @@ func (e *Experiment) StartIdleJob() (sched.JobID, bool) {
 			panic(err)
 		}
 	}
-
-	suspended, haveSuspended := e.jm.GetIdleJob()
-	// Suspended jobs with explicit priority preempt fresh configs;
-	// unlabelled suspended jobs wait behind the fresh configurations
-	// still in the generator (FIFO by queue-insertion order: fresh
-	// configs were "queued" at experiment start, a suspended job
-	// re-enters at the back).
-	canCreate := !e.genDone && e.created < e.cfg.MaxJobs
-	if haveSuspended && (suspended.Job.Priority() > 0 || !canCreate) {
+	if resume {
 		if err := e.startExisting(suspended, slot); err == nil {
 			return suspended.Job.ID, true
 		}
-		release()
-		return "", false
-	}
-	if !canCreate {
 		release()
 		return "", false
 	}
@@ -879,12 +878,9 @@ func (e *Experiment) startExisting(mj *ManagedJob, slot SlotID) error {
 	}
 	if resume {
 		spec.Snapshot = mj.Snapshot
-		spec.History = e.db.History(mj.Job.ID)
 		// A job re-placed after agent loss may have trained past its
-		// last snapshot; replay only the history the checkpoint covers
-		// and rewind the epoch counter to match.
-		if mj.SnapEpoch > 0 && len(spec.History) > mj.SnapEpoch {
-			spec.History = spec.History[:mj.SnapEpoch]
+		// last snapshot; rewind the epoch counter to the checkpoint.
+		if mj.SnapEpoch > 0 && e.db.LastEpoch(mj.Job.ID) > mj.SnapEpoch {
 			mj.Job.SetEpoch(mj.SnapEpoch)
 		}
 	}

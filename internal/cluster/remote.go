@@ -189,7 +189,6 @@ func (c *AgentClient) Start(spec StartSpec) error {
 		MaxEpoch: spec.MaxEpoch,
 		Seed:     spec.Seed,
 		Snapshot: spec.Snapshot,
-		History:  spec.History,
 		TraceContext: wire.TraceContext{
 			TraceID: spec.Trace.TraceID,
 			SpanID:  spec.Trace.SpanID,
@@ -352,7 +351,6 @@ func (c *AgentClient) emitStat(p wire.AppStatPayload) bool {
 	return c.emit(Event{
 		Kind: EvStat, Job: sched.JobID(p.JobID), Slot: c.slotOf(sched.JobID(p.JobID)),
 		Epoch: p.Epoch, Metric: p.Metric, Duration: time.Duration(p.Dur0nsec),
-		Pred: p.Predict, HasPred: p.HasPred,
 	})
 }
 

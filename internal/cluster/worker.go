@@ -6,6 +6,7 @@ import (
 
 	"github.com/hyperdrive-ml/hyperdrive/internal/checkpoint"
 	"github.com/hyperdrive-ml/hyperdrive/internal/clock"
+	"github.com/hyperdrive-ml/hyperdrive/internal/obs"
 	"github.com/hyperdrive-ml/hyperdrive/internal/sched"
 	"github.com/hyperdrive-ml/hyperdrive/internal/workload"
 )
@@ -19,23 +20,16 @@ type WorkerPool struct {
 	clk      clock.Clock
 	events   chan<- Event
 	capturer *checkpoint.Capturer
+	// quit is closed by Close. It unblocks the exit report of a job
+	// that already gave its slot back, which Close can no longer reach
+	// through the slot table.
+	quit chan struct{}
 
 	mu      sync.Mutex
 	slots   []SlotID
-	running map[SlotID]*workerJob
+	running map[SlotID]*trainingJob
 	closed  bool
 	wg      sync.WaitGroup
-}
-
-// workerJob is one running training loop.
-type workerJob struct {
-	spec StartSpec
-	stop chan struct{} // closed to request asynchronous termination
-	// reply is reused for every iteration-boundary round trip of this
-	// job: the scheduler sends exactly one DecisionReply per EvIterDone
-	// and the loop consumes it before emitting the next, so a single
-	// buffered channel suffices — no per-decision allocation.
-	reply chan DecisionReply
 }
 
 // NewWorkerPool builds a pool with n slots. Events are delivered on
@@ -53,7 +47,8 @@ func NewWorkerPool(n int, registry *workload.Registry, clk clock.Clock, capturer
 		clk:      clk,
 		events:   events,
 		capturer: capturer,
-		running:  make(map[SlotID]*workerJob),
+		quit:     make(chan struct{}),
+		running:  make(map[SlotID]*trainingJob),
 	}
 	for i := 0; i < n; i++ {
 		p.slots = append(p.slots, SlotID(fmt.Sprintf("worker-%d", i)))
@@ -68,20 +63,9 @@ func (p *WorkerPool) Slots() []SlotID {
 
 // Start implements Executor.
 func (p *WorkerPool) Start(spec StartSpec) error {
-	spec2 := spec
-	wspec, err := p.registry.Lookup(spec.Workload)
+	j, err := newTrainingJob(p.registry, spec)
 	if err != nil {
 		return err
-	}
-	trainer := wspec.New(spec.Config, spec.Seed)
-	if spec.Snapshot != nil {
-		payload, err := checkpoint.Decode(spec.Snapshot)
-		if err != nil {
-			return fmt.Errorf("cluster: resume %s: %w", spec.Job, err)
-		}
-		if err := trainer.Restore(payload); err != nil {
-			return fmt.Errorf("cluster: resume %s: %w", spec.Job, err)
-		}
 	}
 
 	p.mu.Lock()
@@ -102,10 +86,12 @@ func (p *WorkerPool) Start(spec StartSpec) error {
 	if !known {
 		return fmt.Errorf("cluster: unknown slot %s", spec.Slot)
 	}
-	wj := &workerJob{spec: spec2, stop: make(chan struct{}), reply: make(chan DecisionReply, 1)}
-	p.running[spec.Slot] = wj
+	p.running[spec.Slot] = j
 	p.wg.Add(1)
-	go p.runJob(wj, trainer)
+	go func() {
+		defer p.wg.Done()
+		j.run(p.clk, p.capturer, workerSink{p: p, j: j})
+	}()
 	return nil
 }
 
@@ -118,8 +104,9 @@ func (p *WorkerPool) Close() error {
 		return nil
 	}
 	p.closed = true
-	for _, wj := range p.running {
-		close(wj.stop)
+	close(p.quit)
+	for _, j := range p.running {
+		j.requestStop()
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
@@ -127,142 +114,70 @@ func (p *WorkerPool) Close() error {
 }
 
 // StopJob implements JobStopper: asynchronously stop the job bound to
-// slot. The loop acknowledges with an EvExited/ExitTerminated event
-// (best effort — dropped if nobody is draining the channel anymore).
+// slot. The loop acknowledges with an EvExited/ExitTerminated event.
 func (p *WorkerPool) StopJob(job sched.JobID, slot SlotID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	wj, ok := p.running[slot]
-	if !ok || wj.spec.Job != job {
+	j, ok := p.running[slot]
+	if !ok || j.spec.Job != job {
 		return fmt.Errorf("cluster: job %s not running on slot %s", job, slot)
 	}
-	select {
-	case <-wj.stop:
-		// Already stopping (pool Close or a duplicate request).
-	default:
-		close(wj.stop)
-	}
+	j.requestStop()
 	return nil
 }
 
-// release frees the slot when a job ends.
-func (p *WorkerPool) release(slot SlotID) {
-	p.mu.Lock()
-	delete(p.running, slot)
-	p.mu.Unlock()
+// workerSink reports one pool job's progress as Events.
+type workerSink struct {
+	p *WorkerPool
+	j *trainingJob
 }
 
-// emit delivers an event unless the pool is shutting down.
-func (p *WorkerPool) emit(wj *workerJob, ev Event) bool {
+// emit delivers an event unless the job is asked to stop.
+func (w workerSink) emit(ev Event) bool {
 	select {
-	case p.events <- ev:
+	case w.p.events <- ev:
 		return true
-	case <-wj.stop:
+	case <-w.j.stop:
 		return false
 	}
 }
 
-// emitExit delivers a job's terminal event even when its stop channel
-// is already closed: first the ordinary stop-aware send, then a
-// non-blocking fallback. Exit events are what lets the scheduler's
-// shutdown drain release the slot, so they must not be silently
-// swallowed by a racing StopJob — but they also must not block, since
-// during pool Close nobody drains the event channel at all.
-func (p *WorkerPool) emitExit(wj *workerJob, ev Event) {
-	if p.emit(wj, ev) {
-		return
-	}
-	select {
-	case p.events <- ev:
-	default:
-	}
+func (w workerSink) stat(s workload.Sample) bool {
+	return w.emit(Event{
+		Kind: EvStat, Job: w.j.spec.Job, Slot: w.j.spec.Slot,
+		Epoch: s.Epoch, Metric: s.Metric, Duration: s.Duration,
+	})
 }
 
-// emitStopped acknowledges an asynchronous StopJob with a terminated
-// exit.
-func (p *WorkerPool) emitStopped(wj *workerJob, epoch int) {
-	select {
-	case p.events <- Event{Kind: EvExited, Job: wj.spec.Job, Slot: wj.spec.Slot, Epoch: epoch, Reason: ExitTerminated, Trace: wj.spec.Trace}:
-	default:
-	}
+func (w workerSink) boundary(epoch int) bool {
+	spec := &w.j.spec
+	return w.emit(Event{Kind: EvIterDone, Job: spec.Job, Slot: spec.Slot, Epoch: epoch, Reply: w.j.verdict, Trace: spec.Trace})
 }
 
-// runJob is the per-slot training loop: step an epoch (sleeping its
-// simulated duration on the experiment clock), report the statistic,
-// then block on the scheduler's OnIterationFinish decision — the
-// paper's schedule-as-it-goes execution with per-job decision points.
-func (p *WorkerPool) runJob(wj *workerJob, trainer workload.Trainer) {
-	defer p.wg.Done()
-	defer p.release(wj.spec.Slot)
-	spec := wj.spec
-	for {
-		select {
-		case <-wj.stop:
-			p.emitStopped(wj, trainer.Epoch())
-			return
-		default:
-		}
+func (w workerSink) suspending(int, obs.SpanContext) {}
 
-		s, done := trainer.Step()
-		p.clk.Sleep(s.Duration)
+func (w workerSink) snapshot(epoch int, img checkpoint.Image, parent obs.SpanContext) bool {
+	return w.emit(Event{
+		Kind: EvSnapshot, Job: w.j.spec.Job, Slot: w.j.spec.Slot, Epoch: epoch,
+		Snapshot: img.Encode(), SnapSize: img.Size, SnapLat: img.Latency, Trace: parent,
+	})
+}
 
-		if !p.emit(wj, Event{
-			Kind: EvStat, Job: spec.Job, Slot: spec.Slot,
-			Epoch: s.Epoch, Metric: s.Metric, Duration: s.Duration,
-		}) {
-			p.emitStopped(wj, s.Epoch)
-			return
-		}
-		if done {
-			p.emitExit(wj, Event{Kind: EvExited, Job: spec.Job, Slot: spec.Slot, Epoch: s.Epoch, Reason: ExitCompleted, Trace: spec.Trace})
-			return
-		}
-
-		if !p.emit(wj, Event{Kind: EvIterDone, Job: spec.Job, Slot: spec.Slot, Epoch: s.Epoch, Reply: wj.reply, Trace: spec.Trace}) {
-			p.emitStopped(wj, s.Epoch)
-			return
-		}
-		var dr DecisionReply
-		select {
-		case dr = <-wj.reply:
-		case <-wj.stop:
-			p.emitStopped(wj, s.Epoch)
-			return
-		}
-
-		switch dr.Decision {
-		case sched.Terminate:
-			p.emitExit(wj, Event{Kind: EvExited, Job: spec.Job, Slot: spec.Slot, Epoch: s.Epoch, Reason: ExitTerminated, Trace: dr.Trace})
-			return
-		case sched.Suspend:
-			payload, err := trainer.Snapshot()
-			if err != nil {
-				p.emitExit(wj, Event{Kind: EvExited, Job: spec.Job, Slot: spec.Slot, Epoch: s.Epoch, Reason: ExitError, Err: err, Trace: dr.Trace})
-				return
-			}
-			var (
-				img  checkpoint.Image
-				data []byte
-			)
-			if p.capturer != nil {
-				img = p.capturer.Capture(payload)
-				p.clk.Sleep(img.Latency) // suspend latency costs experiment time
-				data = img.Encode()
-			} else {
-				img = checkpoint.Image{Payload: payload, Size: len(payload)}
-				data = img.Encode()
-			}
-			if !p.emit(wj, Event{
-				Kind: EvSnapshot, Job: spec.Job, Slot: spec.Slot, Epoch: trainer.Epoch(),
-				Snapshot: data, SnapSize: img.Size, SnapLat: img.Latency, Trace: dr.Trace,
-			}) {
-				p.emitStopped(wj, trainer.Epoch())
-				return
-			}
-			p.emitExit(wj, Event{Kind: EvExited, Job: spec.Job, Slot: spec.Slot, Epoch: trainer.Epoch(), Reason: ExitSuspended, Trace: dr.Trace})
-			return
-		default: // Continue
-		}
+// exit frees the slot, then delivers the job's terminal event. The
+// event must not be lost — it is what lets the scheduler's shutdown
+// drain release the slot — so it waits for a reader even after a stop
+// request, and gives up only when the pool closes.
+func (w workerSink) exit(epoch int, reason ExitReason, err error, verdict obs.SpanContext) {
+	spec := &w.j.spec
+	w.p.mu.Lock()
+	delete(w.p.running, spec.Slot)
+	w.p.mu.Unlock()
+	if !verdict.Valid() {
+		verdict = spec.Trace
+	}
+	select {
+	case w.p.events <- Event{Kind: EvExited, Job: spec.Job, Slot: spec.Slot, Epoch: epoch, Reason: reason, Err: err, Trace: verdict}:
+	case <-w.p.quit:
 	}
 }
 

@@ -33,16 +33,17 @@ type Feed struct {
 
 	mu      sync.Mutex
 	recs    []FeedRecord
-	next    uint64        // seq the next record gets (first retained is next-len)
+	next    uint64        // seq the next record gets, from 1 (first retained is next-len)
 	changed chan struct{} // closed and renewed on every append/close
 	closed  bool
 	partial []byte // bytes of an incomplete trailing line
 }
 
 // NewFeed builds an empty feed. onLine (optional) sees every complete
-// event line in append order.
+// event line in append order. Records are numbered from 1, so the
+// zero cursor (a watcher that has seen nothing) returns the first.
 func NewFeed(onLine func(line []byte)) *Feed {
-	return &Feed{onLine: onLine, changed: make(chan struct{})}
+	return &Feed{onLine: onLine, changed: make(chan struct{}), next: 1}
 }
 
 // Write implements io.Writer for the EventLog flusher: input is a

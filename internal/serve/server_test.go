@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +23,14 @@ import (
 // reg may be nil (fleet observability disabled).
 func bootServer(t *testing.T, slots, maxExps int, reg *obs.Registry) (*Server, *httptest.Server) {
 	t.Helper()
-	clk := clock.NewScaled(time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC), 200000)
+	return bootServerAt(t, 200000, slots, maxExps, reg)
+}
+
+// bootServerAt is bootServer with the clock running speedup times
+// faster than wall time.
+func bootServerAt(t *testing.T, speedup float64, slots, maxExps int, reg *obs.Registry) (*Server, *httptest.Server) {
+	t.Helper()
+	clk := clock.NewScaled(time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC), speedup)
 	events := make(chan cluster.Event, 4096)
 	wreg := workload.NewRegistry()
 	capturer, err := checkpoint.NewCapturer(checkpoint.Framework, 1)
@@ -56,9 +64,20 @@ func bootServer(t *testing.T, slots, maxExps int, reg *obs.Registry) (*Server, *
 
 func submitExp(t *testing.T, hs *httptest.Server, body string, header map[string]string) string {
 	t.Helper()
-	req, err := http.NewRequest("POST", hs.URL+"/v1/experiments", strings.NewReader(body))
+	id, _, err := trySubmit(hs, body, header)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return id
+}
+
+// trySubmit posts one experiment and returns its ID, or the HTTP status
+// and an error when the server did not create it. Safe to call off the
+// test goroutine.
+func trySubmit(hs *httptest.Server, body string, header map[string]string) (string, int, error) {
+	req, err := http.NewRequest("POST", hs.URL+"/v1/experiments", strings.NewReader(body))
+	if err != nil {
+		return "", 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	for k, v := range header {
@@ -66,20 +85,20 @@ func submitExp(t *testing.T, hs *httptest.Server, body string, header map[string
 	}
 	resp, err := hs.Client().Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return "", 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("submit: HTTP %d: %s", resp.StatusCode, b)
+		return "", resp.StatusCode, fmt.Errorf("submit: HTTP %d: %s", resp.StatusCode, b)
 	}
 	var out struct {
 		ID string `json:"id"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+		return "", resp.StatusCode, err
 	}
-	return out.ID
+	return out.ID, resp.StatusCode, nil
 }
 
 func getBody(t *testing.T, hs *httptest.Server, path string) (int, string) {
@@ -119,7 +138,11 @@ func TestMetricsRollupUnderChurn(t *testing.T) {
 				return
 			default:
 			}
-			id := submitExp(t, hs, fmt.Sprintf(`{"tenant":"t%d","maxJobs":2,"seed":%d,"maxDurationSec":7776000}`, i%3, i), nil)
+			id, _, err := trySubmit(hs, fmt.Sprintf(`{"tenant":"t%d","maxJobs":2,"seed":%d,"maxDurationSec":7776000}`, i%3, i), nil)
+			if err != nil {
+				t.Errorf("churn submit %d: %v", i, err)
+				return
+			}
 			if i%2 == 0 {
 				resp, err := hs.Client().Post(hs.URL+"/v1/experiments/"+id+"/cancel", "application/json", nil)
 				if err == nil {
@@ -155,6 +178,50 @@ func TestMetricsRollupUnderChurn(t *testing.T) {
 	time.Sleep(2 * time.Second)
 	close(stop)
 	wg.Wait()
+}
+
+// countingPool counts the slot reservations and releases that reach
+// the shared pool through the broker's leases.
+type countingPool struct {
+	cluster.SlotPool
+	calls atomic.Int64
+}
+
+func (c *countingPool) ReserveIdleMachine() (cluster.SlotID, bool) {
+	c.calls.Add(1)
+	return c.SlotPool.ReserveIdleMachine()
+}
+
+func (c *countingPool) ReleaseMachine(slot cluster.SlotID) error {
+	c.calls.Add(1)
+	return c.SlotPool.ReleaseMachine(slot)
+}
+
+// An experiment that has started every configuration, with slots
+// left idle, must not keep reserving and releasing them: each release
+// wakes every hosted experiment, whose allocation would reserve again.
+func TestIdleSlotsDoNotSpinLease(t *testing.T) {
+	srv, hs := bootServerAt(t, 1000, 4, 4, nil)
+	cp := &countingPool{SlotPool: srv.broker.pool}
+	srv.broker.mu.Lock()
+	srv.broker.pool = cp
+	srv.broker.mu.Unlock()
+
+	submitExp(t, hs, `{"tenant":"a","policy":"default","maxJobs":2,"seed":1,"maxDurationSec":7776000}`, nil)
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Pool().BusyCount() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("experiment never started both configurations (busy %d)", srv.Pool().BusyCount())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	before := cp.calls.Load()
+	time.Sleep(100 * time.Millisecond)
+	// Both jobs train for minutes of experiment time (seconds of wall
+	// time), so no slot legitimately changes hands in the window.
+	if n := cp.calls.Load() - before; n > 4 {
+		t.Fatalf("%d lease reserve/release calls in 100ms with every configuration started", n)
+	}
 }
 
 func TestHealthAndReadyEndpoints(t *testing.T) {

@@ -262,10 +262,8 @@ type TraceContext struct {
 }
 
 // StartJobPayload asks an agent to begin (or resume) training a
-// configuration. History carries the metric curve so far so a resumed
-// job's agent-side curve prediction has the full trajectory (paper
-// §5.2: "the learning curve history is sent to the new Node Agent when
-// the job is resumed").
+// configuration. The job's metric history stays with the scheduler,
+// whose policy does the curve prediction.
 type StartJobPayload struct {
 	JobID      string             `json:"jobId"`
 	Workload   string             `json:"workload"` // workload registry name
@@ -273,7 +271,6 @@ type StartJobPayload struct {
 	MaxEpoch   int                `json:"maxEpoch"`
 	Seed       int64              `json:"seed"`
 	Snapshot   []byte             `json:"snapshot,omitempty"` // resume state
-	History    []float64          `json:"history,omitempty"`  // metric curve so far
 	StatPeriod int                `json:"statPeriod"`         // epochs between stat reports
 	TraceContext
 }
@@ -309,10 +306,8 @@ type HelloPayload struct {
 type AppStatPayload struct {
 	JobID    string  `json:"jobId"`
 	Epoch    int     `json:"epoch"`
-	Metric   float64 `json:"metric"`           // accuracy or reward
-	Dur0nsec int64   `json:"epochDurationNs"`  // measured epoch duration
-	Predict  float64 `json:"pvalue,omitempty"` // agent-side curve prediction
-	HasPred  bool    `json:"hasPred,omitempty"`
+	Metric   float64 `json:"metric"`          // accuracy or reward
+	Dur0nsec int64   `json:"epochDurationNs"` // measured epoch duration
 }
 
 // AppStatBatchPayload is the body of MsgAppStatBatch: the statistics

@@ -17,6 +17,15 @@ go run ./cmd/hdlint ./...
 echo ">> go test -race -short ./..."
 go test -race -short -timeout 20m ./...
 
+# Executor lifecycle races (slot hand-off, double stop) show only
+# under repetition: the package five times race-enabled, and the
+# hand-off test, which starts the next job on a slot the moment the
+# previous job's exit arrives, twenty times.
+echo ">> go test -race -short -count=5 ./internal/cluster"
+go test -race -short -count=5 -timeout 20m ./internal/cluster
+echo ">> go test -race -count=20 -run TestExecutorSlotHandOff ./internal/cluster"
+go test -race -count=20 -run 'TestExecutorSlotHandOff' -timeout 5m ./internal/cluster
+
 # The chaos e2e (kill + revive an agent mid-experiment) also skips
 # under -short, so run it explicitly, race-enabled and bounded.
 echo ">> go test -race -run TestChaos ./internal/cluster"
