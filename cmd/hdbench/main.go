@@ -6,6 +6,8 @@
 //	hdbench -scale full        # paper-scale populations (slow)
 //	hdbench -fig fig7,fig9     # selected figures
 //	hdbench -list              # list figure IDs
+//
+// Performance is measured by perfbench/run.sh, not here.
 package main
 
 import (
@@ -33,41 +35,9 @@ func run(args []string) error {
 		seed  = fs.Int64("seed", 1, "configuration sampling seed")
 		out   = fs.String("out", "results", "CSV output directory (empty to disable)")
 		list  = fs.Bool("list", false, "list figure IDs and exit")
-		obsJS = fs.String("obs-bench", "", "measure obs-registry overhead on the simulator hot path and write the report to this file (e.g. BENCH_obs.json)")
-		fitJS = fs.String("fit-bench", "", "measure serial-vs-parallel MCMC fit latency and batch-sweep speedup and write the report to this file (e.g. BENCH_fit.json)")
-		fitSc = fs.String("fit-scale", "paper", "-fit-bench MCMC budget: paper (100x700) | fast (smoke)")
-		trcJS = fs.String("trace-bench", "", "measure trace/flight-recorder overhead on the simulator hot path and write the report to this file (e.g. BENCH_trace.json)")
-		qltJS = fs.String("quality-bench", "", "measure quality-audit overhead on the simulator hot path and write the report to this file (e.g. BENCH_quality.json)")
-		schJS = fs.String("sched-bench", "", "measure scheduler-core throughput (sharded vs single-lock slot pool, e2e decision latency over sockets) and write the report to this file (e.g. BENCH_sched.json)")
-		schSc = fs.String("sched-scale", "paper", "-sched-bench fleet size: paper (1k agents, 16k slots) | fast (smoke)")
-		srvJS = fs.String("serve-bench", "", "measure the multi-tenant service path (submit→first-decision latency over HTTP, API throughput under the per-tenant rate limit) and write the report to this file (e.g. BENCH_serve.json)")
-		srvSc = fs.String("serve-scale", "paper", "-serve-bench scale: paper | fast (smoke)")
-		fltJS = fs.String("fleet-bench", "", "measure the fleet observability layer's disabled-path overhead (broker lease churn, API request path) and write the report to this file (e.g. BENCH_fleet.json)")
-		fltSc = fs.String("fleet-scale", "paper", "-fleet-bench scale: paper | fast (smoke)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *obsJS != "" {
-		return runObsBench(*obsJS, *seed)
-	}
-	if *schJS != "" {
-		return runSchedBench(*schJS, *schSc, *seed)
-	}
-	if *srvJS != "" {
-		return runServeBench(*srvJS, *srvSc, *seed)
-	}
-	if *fltJS != "" {
-		return runFleetBench(*fltJS, *fltSc, *seed)
-	}
-	if *trcJS != "" {
-		return runTraceBench(*trcJS, *seed)
-	}
-	if *qltJS != "" {
-		return runQualityBench(*qltJS, *seed)
-	}
-	if *fitJS != "" {
-		return runFitBench(*fitJS, *fitSc, *seed)
 	}
 	if *list {
 		for _, id := range figures.IDs() {

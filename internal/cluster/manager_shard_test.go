@@ -22,7 +22,7 @@ func benchSlots(agents, per int) []SlotID {
 }
 
 // slotPool is the mutator surface shared by the sharded pool and the
-// single-lock reference, so tests and benches drive both identically.
+// single-lock reference, so tests drive both identically.
 type slotPool interface {
 	ReserveIdleMachine() (SlotID, bool)
 	ReleaseMachine(SlotID) error
@@ -37,8 +37,164 @@ type slotPool interface {
 
 var (
 	_ slotPool = (*ResourceManager)(nil)
-	_ slotPool = (*UnshardedResourceManager)(nil)
+	_ slotPool = (*unshardedPool)(nil)
 )
+
+// unshardedPool is the original single-lock slot pool: one mutex, a
+// free slice popped from the front, and map-backed busy / offline
+// sets. It is the reference implementation the sharded pool's
+// differential property tests compare against.
+//
+// Semantics match ResourceManager exactly, including the occupancy
+// partition: a busy slot under quarantine counts as busy (not offline)
+// until its binding is released, so IdleCount+BusyCount+OfflineCount
+// equals Total().
+type unshardedPool struct {
+	mu      sync.Mutex
+	free    []SlotID
+	busy    map[SlotID]bool
+	offline map[SlotID]bool
+	total   int
+}
+
+// newUnshardedPool builds the single-lock pool, all idle.
+func newUnshardedPool(slots []SlotID) *unshardedPool {
+	rm := &unshardedPool{
+		busy:    make(map[SlotID]bool, len(slots)),
+		offline: make(map[SlotID]bool),
+		total:   len(slots),
+	}
+	rm.free = append(rm.free, slots...)
+	return rm
+}
+
+// ReserveIdleMachine claims an idle slot (FIFO).
+func (rm *unshardedPool) ReserveIdleMachine() (SlotID, bool) {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	if len(rm.free) == 0 {
+		return "", false
+	}
+	s := rm.free[0]
+	rm.free = rm.free[1:]
+	rm.busy[s] = true
+	return s, true
+}
+
+// ReleaseMachine returns a slot to the idle pool. Releasing a
+// quarantined slot is a no-op success: the job-loss path frees its
+// binding, but the slot stays offline until MarkOnline.
+func (rm *unshardedPool) ReleaseMachine(s SlotID) error {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	if rm.offline[s] {
+		delete(rm.busy, s)
+		return nil
+	}
+	if !rm.busy[s] {
+		return fmt.Errorf("cluster: release of non-busy slot %s", s)
+	}
+	delete(rm.busy, s)
+	rm.free = append(rm.free, s)
+	return nil
+}
+
+// MarkOffline quarantines slots; unknown slots are ignored.
+func (rm *unshardedPool) MarkOffline(slots []SlotID) {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	for _, s := range slots {
+		if rm.offline[s] || !rm.known(s) {
+			continue
+		}
+		rm.offline[s] = true
+		for i, f := range rm.free {
+			if f == s {
+				rm.free = append(rm.free[:i], rm.free[i+1:]...)
+				break
+			}
+		}
+	}
+}
+
+// MarkOnline restores quarantined slots to the idle pool. Slots still
+// carrying a busy binding (release hasn't happened yet) stay busy.
+func (rm *unshardedPool) MarkOnline(slots []SlotID) {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	for _, s := range slots {
+		if !rm.offline[s] {
+			continue
+		}
+		delete(rm.offline, s)
+		if !rm.busy[s] {
+			rm.free = append(rm.free, s)
+		}
+	}
+}
+
+// known reports whether a slot was part of the pool at construction.
+// Callers hold rm.mu.
+func (rm *unshardedPool) known(s SlotID) bool {
+	if rm.busy[s] || rm.offline[s] {
+		return true
+	}
+	for _, f := range rm.free {
+		if f == s {
+			return true
+		}
+	}
+	return false
+}
+
+// IdleCount reports idle slots.
+func (rm *unshardedPool) IdleCount() int {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	return len(rm.free)
+}
+
+// BusyCount reports slots with a live job binding, including
+// quarantined-but-busy ones.
+func (rm *unshardedPool) BusyCount() int {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	return len(rm.busy)
+}
+
+// OfflineCount reports quarantined slots with no job binding, matching
+// ResourceManager's partition semantics.
+func (rm *unshardedPool) OfflineCount() int {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	n := 0
+	for s := range rm.offline {
+		if !rm.busy[s] {
+			n++
+		}
+	}
+	return n
+}
+
+// Total reports the pool size.
+func (rm *unshardedPool) Total() int {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	return rm.total
+}
+
+// Counts returns the occupancy partition in one lock acquisition.
+func (rm *unshardedPool) Counts() (idle, busy, offline int) {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	off := 0
+	for s := range rm.offline {
+		if !rm.busy[s] {
+			off++
+		}
+	}
+	return len(rm.free), len(rm.busy), off
+}
 
 // TestResourceManagerPartitionInvariant is the regression test for the
 // offline/busy double-count bug: quarantining a busy slot used to leave
@@ -261,7 +417,7 @@ func TestShardedPoolEquivalence(t *testing.T) {
 			t:     t,
 			slots: slots,
 			a:     NewResourceManager(slots),
-			b:     NewUnshardedResourceManager(slots),
+			b:     newUnshardedPool(slots),
 		}
 		if d.a.(*ResourceManager).Shards() < 2 {
 			t.Fatalf("want a multi-shard pool, got %d shard(s)", d.a.(*ResourceManager).Shards())
@@ -294,7 +450,7 @@ func TestShardedPoolSingleShardFIFO(t *testing.T) {
 			t:        t,
 			slots:    slots,
 			a:        NewResourceManager(slots),
-			b:        NewUnshardedResourceManager(slots),
+			b:        newUnshardedPool(slots),
 			exactIDs: true,
 		}
 		if d.a.(*ResourceManager).Shards() != 1 {

@@ -28,10 +28,7 @@ type SlotPool interface {
 	Total() int
 }
 
-var (
-	_ SlotPool = (*ResourceManager)(nil)
-	_ SlotPool = (*UnshardedResourceManager)(nil)
-)
+var _ SlotPool = (*ResourceManager)(nil)
 
 // JobStopper is an optional Executor capability: asynchronously stop
 // one running job, identified by its slot binding. The experiment's

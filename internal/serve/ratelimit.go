@@ -10,6 +10,11 @@ import (
 // accrues `rate` tokens per second up to `burst`, one API request costs
 // one token, and an empty bucket yields the wait until the next token —
 // the Retry-After the HTTP layer sends with its 429.
+//
+// Tenants come from a client-set header, so the bucket map is bounded:
+// a bucket that has refilled to burst behaves exactly like an absent
+// one, and allow drops such buckets whenever the map has doubled since
+// the last sweep (amortised O(1) per new tenant).
 type rateLimiter struct {
 	rate  float64
 	burst float64
@@ -17,7 +22,11 @@ type rateLimiter struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+	sweepAt int // map size at which the next new tenant triggers a sweep
 }
+
+// minSweepAt keeps small maps from being swept on every new tenant.
+const minSweepAt = 64
 
 type bucket struct {
 	tokens float64
@@ -45,6 +54,9 @@ func (rl *rateLimiter) allow(tenant string) (bool, time.Duration) {
 	defer rl.mu.Unlock()
 	b := rl.buckets[tenant]
 	if b == nil {
+		if len(rl.buckets) >= rl.sweepAt {
+			rl.sweep(now)
+		}
 		b = &bucket{tokens: rl.burst, last: now}
 		rl.buckets[tenant] = b
 	}
@@ -58,4 +70,16 @@ func (rl *rateLimiter) allow(tenant string) (bool, time.Duration) {
 	}
 	wait := time.Duration((1 - b.tokens) / rl.rate * float64(time.Second))
 	return false, wait
+}
+
+// sweep deletes every bucket that has refilled to burst by now and
+// schedules the next sweep for when the map has doubled. Callers hold
+// rl.mu.
+func (rl *rateLimiter) sweep(now time.Time) {
+	for tenant, b := range rl.buckets {
+		if b.tokens+now.Sub(b.last).Seconds()*rl.rate >= rl.burst {
+			delete(rl.buckets, tenant)
+		}
+	}
+	rl.sweepAt = max(2*len(rl.buckets), minSweepAt)
 }

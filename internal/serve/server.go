@@ -19,9 +19,10 @@ import (
 )
 
 // expChanCap buffers each hosted experiment's routed event stream.
-// The router must never block on one slow tenant, so overflow is
-// shed (stats dropped, decisions answered Terminate) — at 4096 that
-// is a pathology, not an operating mode.
+// The router must never block on one slow tenant, so on overflow it
+// sheds stats, snapshots and wake-ups, and hands each decision request
+// (EvIterDone) or exit (EvExited) to a deliver goroutine that waits
+// for room — at 4096 that is a pathology, not an operating mode.
 const expChanCap = 4096
 
 // Options configures a Server.

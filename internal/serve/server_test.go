@@ -260,6 +260,51 @@ func TestHealthAndReadyEndpoints(t *testing.T) {
 	}
 }
 
+// waitDone polls an experiment's status until it is done, failing the
+// test if it ends any other way or takes over a minute.
+func waitDone(t *testing.T, hs *httptest.Server, id string) ExperimentStatus {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if time.Now().After(deadline) {
+			t.Fatalf("experiment %s did not finish", id)
+		}
+		_, body := getBody(t, hs, "/v1/experiments/"+id)
+		var st ExperimentStatus
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State == stateDone {
+			return st
+		}
+		if st.State == stateFailed || st.State == stateCanceled {
+			t.Fatalf("experiment %s ended %q: %s", id, st.State, st.Error)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// Every hosted experiment records its submit→first-decision latency
+// exactly once: in its status and as one sample of the server's
+// histogram.
+func TestFirstDecisionRecordedOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, hs := bootServer(t, 4, 3, reg)
+	var ids []string
+	for i := 0; i < 3; i++ {
+		ids = append(ids, submitExp(t, hs,
+			fmt.Sprintf(`{"tenant":"t%d","maxJobs":3,"seed":%d,"maxDurationSec":7776000}`, i, 5+i), nil))
+	}
+	for _, id := range ids {
+		if st := waitDone(t, hs, id); st.FirstDecisionMs <= 0 {
+			t.Errorf("%s: firstDecisionMs = %v, want > 0", id, st.FirstDecisionMs)
+		}
+	}
+	if n := reg.Histogram(obs.ServeSubmitToDecisionSeconds).Count(); n != int64(len(ids)) {
+		t.Fatalf("submit→first-decision histogram has %d samples, want %d", n, len(ids))
+	}
+}
+
 // An inbound X-Trace-Id must reach the experiment's tracer: the
 // api_submit span joins the caller's trace and the job decision spans
 // parent under it, end to end.
@@ -273,25 +318,7 @@ func TestSubmitTracePropagation(t *testing.T) {
 	const inbound = "0mytrace00000001"
 	id := submitExp(t, hs, `{"tenant":"alice","maxJobs":3,"seed":5,"maxDurationSec":7776000}`,
 		map[string]string{"X-Trace-Id": inbound})
-
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("experiment did not finish")
-		}
-		_, body := getBody(t, hs, "/v1/experiments/"+id)
-		var st ExperimentStatus
-		if err := json.Unmarshal([]byte(body), &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.State == stateDone {
-			break
-		}
-		if st.State == stateFailed || st.State == stateCanceled {
-			t.Fatalf("experiment ended %q: %s", st.State, st.Error)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitDone(t, hs, id)
 
 	_, body := getBody(t, hs, "/v1/experiments/"+id+"/obs/spans")
 	var views []obs.View
