@@ -341,11 +341,8 @@ func (a *Agent) deliverDecision(p wire.DecisionPayload) {
 		d = sched.Continue
 	}
 	dr := DecisionReply{
-		Decision:   d,
-		Trace:      obs.SpanContext{TraceID: p.TraceID, SpanID: p.SpanID},
-		Confidence: p.Confidence,
-		ERTSeconds: p.ERTSeconds,
-		Class:      p.Class,
+		Decision: d,
+		Trace:    obs.SpanContext{TraceID: p.TraceID, SpanID: p.SpanID},
 	}
 	select {
 	case j.verdict <- dr:

@@ -39,12 +39,6 @@ type LogRecord struct {
 	Confidence float64 `json:"confidence,omitempty"`
 	ERTSeconds float64 `json:"ertSeconds,omitempty"`
 	Class      string  `json:"class,omitempty"`
-
-	// spanRaw defers span-ID formatting off the decision hot path: the
-	// flusher renders it into Span just before encoding, so the
-	// scheduler loop never allocates the hex string for spans nobody
-	// retains.
-	spanRaw uint64
 }
 
 // DefaultEventLogBuffer is the record capacity of the append buffer; a
@@ -230,11 +224,7 @@ func (l *EventLog) flusher() {
 		var failedAt = -1
 		if !dead {
 			for i := range batch {
-				r := &batch[i]
-				if r.Span == "" && r.spanRaw != 0 {
-					r.Span = obs.FormatSpanID(r.spanRaw)
-				}
-				if err := l.enc.Encode(r); err != nil {
+				if err := l.enc.Encode(&batch[i]); err != nil {
 					failedAt = i
 					break
 				}
@@ -276,36 +266,26 @@ func (e *Experiment) logEvent(kind string, ev Event) {
 	e.cfg.EventLog.Log(rec)
 }
 
-// logDecision emits a record for an OnIterationFinish verdict, carrying
-// the decision span's raw ID (rendered by the flusher; zero when
-// tracing is off) and the prediction the policy annotated onto the
-// span, if any.
-func (e *Experiment) logDecision(job sched.JobID, epoch int, d sched.Decision, sp *obs.Span) {
+// logDecision emits a record for an OnIterationFinish verdict,
+// carrying the retained decision span's ID ("" for off-boundary
+// continues or without tracing) and the prediction in the policy's
+// rationale.
+func (e *Experiment) logDecision(job sched.JobID, epoch int, why *sched.Rationale, d sched.Decision, spanID string) {
 	if e.cfg.EventLog == nil {
 		return
 	}
-	rec := LogRecord{
-		T:        e.clk.Now(),
-		Kind:     "decision",
-		Job:      string(job),
-		Epoch:    epoch,
-		Decision: d.String(),
-		spanRaw:  sp.RawID(),
-	}
-	if a, ok := sp.Attr("confidence"); ok {
-		rec.Confidence = a.Val
-	}
-	if a, ok := sp.Attr("ert_seconds"); ok {
-		rec.ERTSeconds = a.Val
-	}
-	if a, ok := sp.Attr("class"); ok {
-		rec.Class = a.Str
-	}
-	if a, ok := sp.Attr("cause"); ok {
-		rec.Detail = a.Str
-		rec.Class = "poor"
-	}
-	e.cfg.EventLog.Log(rec)
+	e.cfg.EventLog.Log(LogRecord{
+		T:          e.clk.Now(),
+		Kind:       "decision",
+		Job:        string(job),
+		Epoch:      epoch,
+		Decision:   d.String(),
+		Span:       spanID,
+		Confidence: why.Confidence,
+		ERTSeconds: why.ERT.Seconds(),
+		Class:      why.PoolClass(),
+		Detail:     why.Cause,
+	})
 }
 
 // logLifecycle emits a start/resume/stop style record.

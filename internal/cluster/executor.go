@@ -92,13 +92,6 @@ const (
 type DecisionReply struct {
 	Decision sched.Decision
 	Trace    obs.SpanContext
-	// Confidence, ERTSeconds, and Class carry the scheduler-side
-	// prediction behind the verdict (zero off evaluation boundaries),
-	// forwarded over the wire so agents can log why a job was
-	// suspended or terminated.
-	Confidence float64
-	ERTSeconds float64
-	Class      string
 }
 
 // Event is an executor-to-scheduler notification. IterDone events

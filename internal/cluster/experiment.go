@@ -145,9 +145,12 @@ type Experiment struct {
 	res      *Result
 	slotJobs map[SlotID]sched.JobID
 	met      *expMetrics
-	// lastClass remembers each job's last published classification so
-	// the trace gets one instant marker per change, not per refresh.
-	lastClass map[sched.JobID]string
+	// classes publishes the job table after evaluated decisions (nil
+	// without a registry).
+	classes *obs.ClassTable
+	// why is the rationale handed to every OnIterationFinish, reused so
+	// decisions do not allocate.
+	why sched.Rationale
 	// qual is the registry's quality audit (nil unless the caller
 	// enabled it), cached so the hot paths pay one nil check, and
 	// reachEpoch the first epoch each job crossed the target — the
@@ -155,9 +158,8 @@ type Experiment struct {
 	qual       *obs.QualityAudit
 	reachEpoch map[sched.JobID]int
 	// pop and fits are the POP/fit-counting views of cfg.Policy,
-	// resolved once at New through any Unwrap chain (embedding layers
-	// wrap policies for pause control); nil when the policy has
-	// neither.
+	// resolved once at New by policy.Resolve (embedding layers wrap
+	// policies for pause control); nil when the policy has neither.
 	pop       *policy.POP
 	fits      policy.FitCounter
 	closeOnce sync.Once
@@ -178,32 +180,6 @@ func (e *Experiment) Close() error {
 		e.cfg.EventLog.Flush()
 	})
 	return err
-}
-
-// resolvePolicy walks cfg.Policy through Unwrap() chains, binding
-// instrumentation and caching the interfaces the hot paths
-// type-assert: without this, a service-side wrapper (pause control)
-// would hide the concrete POP from classification publishing.
-func (e *Experiment) resolvePolicy() {
-	p := e.cfg.Policy
-	for p != nil {
-		if e.cfg.Obs != nil {
-			if in, ok := p.(obs.Instrumentable); ok {
-				in.Instrument(e.cfg.Obs)
-			}
-		}
-		if pop, ok := p.(*policy.POP); ok && e.pop == nil {
-			e.pop = pop
-		}
-		if fc, ok := p.(policy.FitCounter); ok && e.fits == nil {
-			e.fits = fc
-		}
-		u, ok := p.(interface{ Unwrap() policy.Policy })
-		if !ok {
-			break
-		}
-		p = u.Unwrap()
-	}
 }
 
 // New validates the config and prepares an experiment.
@@ -234,21 +210,21 @@ func New(cfg Config) (*Experiment, error) {
 	}
 
 	e := &Experiment{
-		cfg:       cfg,
-		spec:      spec,
-		clk:       clk,
-		db:        appstat.NewDB(),
-		jm:        NewJobManager(),
-		res:       &Result{},
-		slotJobs:  make(map[SlotID]sched.JobID),
-		met:       newExpMetrics(cfg.Obs),
-		lastClass: make(map[sched.JobID]string),
+		cfg:      cfg,
+		spec:     spec,
+		clk:      clk,
+		db:       appstat.NewDB(),
+		jm:       NewJobManager(),
+		res:      &Result{},
+		slotJobs: make(map[SlotID]sched.JobID),
+		met:      newExpMetrics(cfg.Obs),
 	}
-	e.resolvePolicy()
+	e.pop, e.fits = policy.Resolve(cfg.Policy, cfg.Obs)
 	if cfg.Obs != nil {
 		cfg.EventLog.Instrument(cfg.Obs)
 		e.qual = cfg.Obs.Quality()
 		e.reachEpoch = make(map[sched.JobID]int)
+		e.classes = obs.NewClassTable(cfg.Obs, e.qual)
 	}
 
 	if cfg.Slots != nil && cfg.Executor == nil {
@@ -559,96 +535,70 @@ func (e *Experiment) handleStat(ev Event) bool {
 	return false
 }
 
-// handleIterDone runs one OnIterationFinish round trip under a
-// decision span: the policy annotates the span with the inputs it saw
-// (estimate, classification, allocation), the span ID is stamped into
-// the decision LogRecord, and the wall-clock latency of the whole
-// sequence lands in the decision-latency histogram. Spans the policy
-// never annotated (off-boundary continues) are measured but not
-// retained.
+// handleIterDone runs one OnIterationFinish round trip. The policy
+// fills in the experiment's reused rationale; a decision the policy
+// evaluated, or any verdict other than continue, is retained as a
+// decision span whose ID is stamped into the decision LogRecord, and
+// the wall-clock latency of every decision lands in the
+// decision-latency histogram. Off-boundary continues (nearly all
+// decisions) are counted and logged without a span, so the hot path
+// stays allocation-free.
 func (e *Experiment) handleIterDone(ev Event) {
-	// Parent the decision span under the executor-side span that raised
-	// the boundary; when the executor runs untraced, the span still
-	// joins the job's trace as a root so the verdict stays attributable.
-	parent := ev.Trace
-	mj, haveJob := e.jm.Get(ev.Job)
-	if !parent.Valid() && haveJob {
-		parent = obs.SpanContext{TraceID: mj.TraceID}
-	}
-	sp := e.met.tracer.StartSpan("decision", string(ev.Job), ev.Epoch, parent)
-	sev := sched.Event{Job: ev.Job, Epoch: ev.Epoch, Time: e.clk.Now(), Span: sp}
+	why := &e.why
+	*why = sched.Rationale{}
+	sev := sched.Event{Job: ev.Job, Epoch: ev.Epoch, Time: e.clk.Now(), Rationale: why}
 	t0 := time.Now()
 	decision := e.cfg.Policy.OnIterationFinish(e, sev)
 	lat := time.Since(t0)
 	e.met.decisionLatency.Observe(lat.Seconds())
 	e.met.decisionCounter(decision).Inc()
-	boundary := sp.Annotated()
-	// Boundary decisions carry the policy's estimate inputs; verdicts
-	// that change a job's fate (suspend/terminate) are retained even
-	// off-boundary so the trace always explains why a job left its slot.
-	retained := boundary || decision != sched.Continue
-	if retained {
-		sp.SetStr("decision", decision.String())
-		e.met.tracer.Finish(sp)
-		if haveJob {
-			mj.LastSpan = sp.ID()
+	var (
+		sp     *obs.Span
+		spanID string
+	)
+	// Verdicts that change a job's fate (suspend/terminate) are retained
+	// even unevaluated, so the trace always explains why a job left its
+	// slot.
+	if why.Evaluated || decision != sched.Continue {
+		// Parent the decision span under the executor-side span that
+		// raised the boundary; when the executor runs untraced, the span
+		// still joins the job's trace as a root so the verdict stays
+		// attributable.
+		parent := ev.Trace
+		mj, haveJob := e.jm.Get(ev.Job)
+		if !parent.Valid() && haveJob {
+			parent = obs.SpanContext{TraceID: mj.TraceID}
 		}
-		e.emitDecisionTrace(ev, decision, sp, lat)
-		e.qual.ObserveDecisionSpan(e.clk.Now(), sp, decision.String())
+		sp = e.met.tracer.RecordDecision(string(ev.Job), ev.Epoch, parent, lat, why, decision)
+		spanID = sp.ID()
+		if haveJob {
+			mj.LastSpan = spanID
+		}
+		e.emitDecisionTrace(ev, why, decision, sp, lat)
+		e.qual.ObserveDecision(e.clk.Now(), string(ev.Job), ev.Epoch, why, decision)
 	}
-	e.logDecision(ev.Job, ev.Epoch, decision, sp)
-	if boundary {
+	e.logDecision(ev.Job, ev.Epoch, why, decision, spanID)
+	if why.Evaluated {
 		e.publishClassification()
 	}
 	if ev.Reply != nil {
-		reply := DecisionReply{Decision: decision, Trace: sp.Context()}
-		// The prediction behind the verdict rides back to the agent so
-		// agent-side logs can correlate their fate with the scheduler's
-		// confidence in them.
-		if a, ok := sp.Attr("confidence"); ok {
-			reply.Confidence = a.Val
-		}
-		if a, ok := sp.Attr("ert_seconds"); ok {
-			reply.ERTSeconds = a.Val
-		}
-		if a, ok := sp.Attr("class"); ok {
-			reply.Class = a.Str
-		}
-		ev.Reply <- reply
-	}
-	// Off-boundary continues (the overwhelming majority of decisions)
-	// were measured and logged but never retained anywhere — recycle
-	// the span so the hot path stays allocation-free. Everything that
-	// read sp (log record, reply) copied what it needed above.
-	if !retained {
-		e.met.tracer.Release(sp)
+		ev.Reply <- DecisionReply{Decision: decision, Trace: sp.Context()}
 	}
 }
 
 // emitDecisionTrace records one retained decision as a complete slice
-// on the scheduler's "decisions" track, carrying the estimate inputs
-// the policy annotated (ERT, confidence, classification, pool sizes).
-func (e *Experiment) emitDecisionTrace(ev Event, d sched.Decision, sp *obs.Span, lat time.Duration) {
+// on the scheduler's "decisions" track, carrying the policy's
+// rationale (ERT, confidence, classification, pool sizes).
+func (e *Experiment) emitDecisionTrace(ev Event, why *sched.Rationale, d sched.Decision, sp *obs.Span, lat time.Duration) {
 	if e.cfg.TraceSink == nil {
 		return
 	}
-	args := map[string]interface{}{
-		"job": string(ev.Job), "epoch": ev.Epoch, "decision": d.String(),
-		// The span ID matches the event log's "span" field and
-		// /debug/obs/spans; the trace ID groups the slice with the
-		// job's track.
-		"span": sp.ID(), "trace": sp.TraceID(),
-	}
-	for _, key := range []string{"confidence", "ert_seconds", "threshold", "promising_jobs", "opportunistic_jobs", "prob_beats_best"} {
-		if a, ok := sp.Attr(key); ok {
-			args[key] = a.Val
-		}
-	}
-	for _, key := range []string{"class", "cause"} {
-		if a, ok := sp.Attr(key); ok {
-			args[key] = a.Str
-		}
-	}
+	args := obs.DecisionArgs(why, d)
+	args["job"], args["epoch"] = string(ev.Job), ev.Epoch
+	// The span ID matches the event log's "span" field and
+	// /debug/obs/spans; the trace ID groups the slice with the job's
+	// track.
+	args["span"], args["trace"] = sp.ID(), sp.TraceID()
 	end := e.clk.Now()
 	e.cfg.TraceSink.Complete("scheduler", "decisions", "decision "+string(ev.Job), end.Add(-lat), lat, args)
 }

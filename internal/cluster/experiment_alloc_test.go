@@ -10,7 +10,7 @@ import (
 )
 
 // continueStub models the off-boundary steady state: the policy lets
-// every iteration run and never annotates the decision span.
+// every iteration run and never evaluates the job.
 type continueStub struct{}
 
 func (continueStub) Name() string                                { return "continue-stub" }
@@ -21,8 +21,8 @@ func (continueStub) OnIterationFinish(policy.Context, sched.Event) sched.Decisio
 }
 
 // TestDecisionPathAllocationFree pins the hot-path guarantee: an
-// off-boundary continue decision — span, policy verdict, latency
-// histogram, decision counter, event-log append, span recycle — runs
+// off-boundary continue decision — policy verdict, latency histogram,
+// decision counter, event-log append — runs
 // without a single heap allocation. A regression here multiplies into
 // GC pressure at tens of thousands of decisions per second.
 func TestDecisionPathAllocationFree(t *testing.T) {
@@ -41,7 +41,7 @@ func TestDecisionPathAllocationFree(t *testing.T) {
 	}
 
 	ev := Event{Kind: EvIterDone, Job: "j1", Epoch: 3}
-	// Warm the span pool and wedge the flusher in its first Write, so
+	// Warm the decision path and wedge the flusher in its first Write, so
 	// the background JSON encoding cannot pollute the measurement;
 	// every logged record lands in the (preallocated) append buffer.
 	e.handleIterDone(ev)

@@ -41,12 +41,6 @@ type expMetrics struct {
 	agentFailures *obs.Counter
 	replacements  *obs.Counter
 
-	poolPromSlots *obs.Gauge
-	poolOppSlots  *obs.Gauge
-	poolPromJobs  *obs.Gauge
-	poolOppJobs   *obs.Gauge
-	threshold     *obs.Gauge
-
 	slotRate map[SlotID]*obs.Gauge
 }
 
@@ -75,11 +69,6 @@ func newExpMetrics(r *obs.Registry) *expMetrics {
 		jobsActive:      r.Gauge(obs.JobsActive),
 		jobsSuspended:   r.Gauge(obs.JobsSuspended),
 		best:            r.Gauge(obs.BestMetric),
-		poolPromSlots:   r.Gauge(obs.PoolPromisingSlots),
-		poolOppSlots:    r.Gauge(obs.PoolOpportunisticSlots),
-		poolPromJobs:    r.Gauge(obs.PoolPromisingJobs),
-		poolOppJobs:     r.Gauge(obs.PoolOpportunisticJobs),
-		threshold:       r.Gauge(obs.ClassificationThreshold),
 	}
 }
 
@@ -152,83 +141,28 @@ func (e *Experiment) refreshGauges() {
 // publishClassification snapshots POP's current slot division and the
 // per-job classification table onto the registry, so the introspection
 // endpoint can answer "what does the scheduler believe right now".
-// Called after boundary decisions; no-op without a registry.
+// Called after evaluated decisions; no-op without a registry.
 func (e *Experiment) publishClassification() {
-	if e.met.reg == nil {
+	if e.classes == nil {
 		return
 	}
 	var (
-		ests      map[sched.JobID]core.Estimate
-		promising map[string]bool
-		hasPOP    bool
+		alloc *core.Allocation
+		ests  map[sched.JobID]core.Estimate
 	)
-	if pop := e.pop; pop != nil {
-		hasPOP = true
-		alloc := pop.Allocation(e)
-		e.met.threshold.Set(alloc.Threshold)
-		e.met.poolPromSlots.Set(float64(alloc.PromisingSlots))
-		oppSlots := e.rm.Total() - alloc.PromisingSlots
-		if oppSlots < 0 {
-			oppSlots = 0
-		}
-		e.met.poolOppSlots.Set(float64(oppSlots))
-		e.met.poolPromJobs.Set(float64(len(alloc.Promising)))
-		e.met.poolOppJobs.Set(float64(len(alloc.Opportunistic)))
-		ests = pop.Estimates()
-		promising = make(map[string]bool, len(alloc.Promising))
-		for _, est := range alloc.Promising {
-			promising[est.JobID] = true
-		}
+	if e.pop != nil {
+		a := e.pop.Allocation(e)
+		alloc, ests = &a, e.pop.Estimates()
 	}
-
 	jobs := e.jm.All()
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Idx < jobs[j].Idx })
-	rows := make([]obs.JobRow, 0, len(jobs))
-	for _, mj := range jobs {
-		st := mj.Job.State()
-		row := obs.JobRow{
-			Job:      string(mj.Job.ID),
-			State:    st.String(),
-			Epoch:    mj.Job.Epoch(),
-			Best:     mj.Best,
-			Priority: mj.Job.Priority(),
-		}
-		if hasPOP {
-			if est, ok := ests[mj.Job.ID]; ok {
-				row.Confidence = est.Confidence
-				row.ERTSeconds = est.ERT.Seconds()
-			}
-			switch {
-			case promising[string(mj.Job.ID)]:
-				row.Class = "promising"
-			case st == sched.Terminated:
-				row.Class = "poor"
-			case st == sched.Running || st == sched.Suspended:
-				row.Class = "opportunistic"
-			}
-			// One instant marker per classification change on the job's
-			// trace track (not per refresh).
-			if row.Class != "" && e.lastClass[mj.Job.ID] != row.Class {
-				e.lastClass[mj.Job.ID] = row.Class
-				e.cfg.TraceSink.Instant("scheduler", "job "+row.Job, "class: "+row.Class, e.clk.Now(),
-					map[string]interface{}{"confidence": row.Confidence, "ert_seconds": row.ERTSeconds})
-			}
-		}
-		rows = append(rows, row)
+	states := make([]obs.JobState, len(jobs))
+	for i, mj := range jobs {
+		states[i] = obs.JobState{Job: mj.Job, Best: mj.Best}
 	}
-	e.met.reg.PublishJobTable(rows)
-	if e.qual != nil && hasPOP {
-		var prom, opp, poor int
-		for _, row := range rows {
-			switch row.Class {
-			case "promising":
-				prom++
-			case "opportunistic":
-				opp++
-			case "poor":
-				poor++
-			}
-		}
-		e.qual.RecordPool(e.clk.Now(), prom, opp, poor)
-	}
+	now := e.clk.Now()
+	e.classes.Publish(now, e.rm.Total(), alloc, ests, states, func(row obs.JobRow) {
+		e.cfg.TraceSink.Instant("scheduler", "job "+row.Job, "class: "+row.Class, now,
+			map[string]interface{}{"confidence": row.Confidence, "ert_seconds": row.ERTSeconds})
+	})
 }

@@ -517,11 +517,8 @@ func (c *AgentClient) forwardDecision(jobID string, reply <-chan DecisionReply) 
 		s = "continue"
 	}
 	p := wire.DecisionPayload{
-		JobID:      jobID,
-		Decision:   s,
-		Confidence: dr.Confidence,
-		ERTSeconds: dr.ERTSeconds,
-		Class:      dr.Class,
+		JobID:    jobID,
+		Decision: s,
 		TraceContext: wire.TraceContext{
 			TraceID: dr.Trace.TraceID,
 			SpanID:  dr.Trace.SpanID,

@@ -172,19 +172,6 @@ const (
 	ServeSubmitToDecisionSeconds = "hyperdrive_serve_submit_to_decision_seconds"
 )
 
-// TenantHeldSlots returns the labeled gauge name of slots a tenant's
-// experiments currently hold, e.g. hyperdrive_tenant_held_slots{tenant="a"}.
-func TenantHeldSlots(tenant string) string {
-	return fmt.Sprintf(`hyperdrive_tenant_held_slots{tenant=%q}`, tenant)
-}
-
-// TenantShareSlots returns the labeled gauge name of a tenant's
-// current weighted fair share of the slot pool, e.g.
-// hyperdrive_tenant_share_slots{tenant="a"}.
-func TenantShareSlots(tenant string) string {
-	return fmt.Sprintf(`hyperdrive_tenant_share_slots{tenant=%q}`, tenant)
-}
-
 // Fleet observability (hyperdrived server-wide telemetry) names.
 const (
 	// ServeHTTPInFlight gauges API requests currently being handled.
@@ -218,20 +205,6 @@ func ServeHTTPRequestSeconds(route string) string {
 // name, e.g. hyperdrive_serve_http_responses_total{class="2xx"}.
 func ServeHTTPResponsesTotal(class string) string {
 	return fmt.Sprintf(`hyperdrive_serve_http_responses_total{class=%q}`, class)
-}
-
-// ServeRateLimitRejectsTotal returns the labeled per-tenant counter of
-// API requests refused by the token bucket, e.g.
-// hyperdrive_serve_ratelimit_rejects_total{tenant="a"}.
-func ServeRateLimitRejectsTotal(tenant string) string {
-	return fmt.Sprintf(`hyperdrive_serve_ratelimit_rejects_total{tenant=%q}`, tenant)
-}
-
-// ServeRetryAfterSeconds returns the labeled per-tenant histogram of
-// Retry-After hints sent with 429s — the backpressure a tenant is
-// being asked to absorb, not just how often it is bounced.
-func ServeRetryAfterSeconds(tenant string) string {
-	return fmt.Sprintf(`hyperdrive_serve_retry_after_seconds{tenant=%q}`, tenant)
 }
 
 // ServeFeedDroppedTotal returns the labeled per-experiment counter of

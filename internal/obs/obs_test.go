@@ -23,7 +23,6 @@ func TestNilSafety(t *testing.T) {
 	var sp *Span
 	sp.SetAttr("a", 1)
 	sp.SetStr("b", "c")
-	sp.Stage("s")
 	if sp.ID() != "" {
 		t.Fatalf("nil span ID = %q", sp.ID())
 	}
@@ -119,7 +118,6 @@ func TestTracerRingAndResolve(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s := tr.Start("decision", "job-1", i)
 		s.SetAttr("confidence", float64(i)/10)
-		s.Stage("estimate")
 		tr.Finish(s)
 		ids = append(ids, s.ID())
 	}
@@ -135,12 +133,8 @@ func TestTracerRingAndResolve(t *testing.T) {
 	if !ok {
 		t.Fatal("latest span not resolvable")
 	}
-	a, ok := s.Attr("confidence")
-	if !ok || a.Val != 0.4 {
-		t.Fatalf("attr = %+v ok=%v", a, ok)
-	}
 	v := s.Snapshot()
-	if v.DurationNS < 0 || len(v.Stages) != 1 || v.Stages[0].Name != "estimate" {
+	if v.DurationNS < 0 || len(v.Attrs) != 1 || v.Attrs[0] != (Attr{Key: "confidence", Val: 0.4}) {
 		t.Fatalf("snapshot = %+v", v)
 	}
 }

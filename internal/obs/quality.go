@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/hyperdrive-ml/hyperdrive/internal/sched"
 )
 
 // This file is the search-quality audit trail: every decision-time
@@ -201,47 +203,28 @@ func (q *QualityAudit) RecordPrediction(p PredictionRecord) {
 	}
 }
 
-// ObserveDecisionSpan builds a PredictionRecord from a finished
-// decision span's annotations — the same attributes POP writes for the
-// tracer (confidence, ert_seconds, class, cause, threshold, band) —
-// and records it. Spans without an estimate (kill-threshold prunes)
-// still record with class "poor" so termination verdicts are audited.
-func (q *QualityAudit) ObserveDecisionSpan(t time.Time, sp *Span, decision string) {
-	if q == nil || sp == nil {
+// ObserveDecision records the prediction behind one retained decision
+// from the policy's rationale. Decisions without an estimate
+// (kill-threshold prunes) still record, with class "poor", so
+// termination verdicts are audited.
+func (q *QualityAudit) ObserveDecision(t time.Time, job string, epoch int, why *sched.Rationale, d sched.Decision) {
+	if q == nil {
 		return
 	}
-	p := PredictionRecord{
-		TMS:      t.UnixMilli(),
-		Job:      spanJob(sp),
-		Epoch:    spanEpoch(sp),
-		Decision: decision,
-	}
-	if a, ok := sp.Attr("confidence"); ok {
-		p.Confidence = a.Val
-	}
-	if a, ok := sp.Attr("ert_seconds"); ok {
-		p.ERTSeconds = a.Val
-	}
-	if _, ok := sp.Attr("truncated"); ok {
-		p.Truncated = true
-	}
-	if a, ok := sp.Attr("class"); ok {
-		p.Class = a.Str
-	}
-	if a, ok := sp.Attr("cause"); ok {
-		p.Cause = a.Str
-		p.Class = "poor" // pruned: the scheduler judged the job poor
-	}
-	if a, ok := sp.Attr("threshold"); ok {
-		p.Threshold = a.Val
-	}
-	if a, ok := sp.Attr("band_lo"); ok {
-		p.BandLow = a.Val
-	}
-	if a, ok := sp.Attr("band_hi"); ok {
-		p.BandHigh = a.Val
-	}
-	q.RecordPrediction(p)
+	q.RecordPrediction(PredictionRecord{
+		TMS:        t.UnixMilli(),
+		Job:        job,
+		Epoch:      epoch,
+		Confidence: why.Confidence,
+		ERTSeconds: why.ERT.Seconds(),
+		Truncated:  why.Truncated,
+		Class:      why.PoolClass(),
+		Decision:   d.String(),
+		Cause:      why.Cause,
+		Threshold:  why.Threshold,
+		BandLow:    why.BandLow,
+		BandHigh:   why.BandHigh,
+	})
 }
 
 // RecordOracle stores ground truth for one job and scores any
@@ -769,20 +752,4 @@ func (s *sampleRing) offer(p PoolSample) {
 
 func (s *sampleRing) snapshot() []PoolSample {
 	return append([]PoolSample(nil), s.pts...)
-}
-
-// spanJob / spanEpoch read a span's identity fields via its snapshot
-// accessors without exporting the underlying struct fields.
-func spanJob(sp *Span) string {
-	if sp == nil {
-		return ""
-	}
-	return sp.job
-}
-
-func spanEpoch(sp *Span) int {
-	if sp == nil {
-		return 0
-	}
-	return sp.epoch
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/hyperdrive-ml/hyperdrive/internal/sched"
 )
 
 var qEpoch = time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
@@ -185,21 +187,15 @@ func TestQualityBounded(t *testing.T) {
 	}
 }
 
-func TestQualityObserveDecisionSpan(t *testing.T) {
-	tr := NewTracer(8)
-	sp := tr.Start("decision", "j7", 10)
-	sp.SetAttr("confidence", 0.42)
-	sp.SetAttr("ert_seconds", 1234)
-	sp.SetAttr("threshold", 0.3)
-	sp.SetAttr("band_lo", 0.6)
-	sp.SetAttr("band_hi", 0.9)
-	sp.SetStr("class", "opportunistic")
+func TestQualityObserveDecision(t *testing.T) {
 	q := NewQualityAudit(QualityMeta{})
-	q.ObserveDecisionSpan(qEpoch, sp, "suspend")
-
-	kill := tr.Start("decision", "j8", 20)
-	kill.SetStr("cause", "kill_threshold")
-	q.ObserveDecisionSpan(qEpoch, kill, "terminate")
+	q.ObserveDecision(qEpoch, "j7", 10, &sched.Rationale{
+		Evaluated: true, Estimated: true, Confidence: 0.42, ERT: 1234 * time.Second,
+		BandLow: 0.6, BandHigh: 0.9, Allocated: true, Threshold: 0.3, Class: sched.ClassOpportunistic,
+	}, sched.Suspend)
+	q.ObserveDecision(qEpoch, "j8", 20, &sched.Rationale{
+		Evaluated: true, Cause: sched.CauseKillThreshold, KillThreshold: 0.15,
+	}, sched.Terminate)
 
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -207,11 +203,11 @@ func TestQualityObserveDecisionSpan(t *testing.T) {
 		t.Fatalf("recorded %d preds, want 2", len(q.preds))
 	}
 	p := q.preds[0]
-	if p.Job != "j7" || p.Epoch != 10 || p.Confidence != 0.42 || p.ERTSeconds != 1234 ||
+	if p.Job != "j7" || p.Epoch != 10 || p.Confidence != 0.42 || p.ERTSeconds != 1234 || p.Threshold != 0.3 ||
 		p.BandLow != 0.6 || p.BandHigh != 0.9 || p.Class != "opportunistic" || p.Decision != "suspend" {
-		t.Fatalf("span-derived prediction = %+v", p)
+		t.Fatalf("rationale-derived prediction = %+v", p)
 	}
-	if k := q.preds[1]; k.Class != "poor" || k.Cause != "kill_threshold" || k.Decision != "terminate" {
+	if k := q.preds[1]; k.Class != "poor" || k.Cause != "kill_threshold" || k.Decision != "terminate" || k.Confidence != 0 {
 		t.Fatalf("kill-threshold prediction = %+v", k)
 	}
 }
@@ -247,7 +243,7 @@ func TestQualityConcurrent(t *testing.T) {
 	nilQ.RecordOutcome(OutcomeRecord{})
 	nilQ.RecordBest(qEpoch, "x", 1)
 	nilQ.RecordPool(qEpoch, 0, 0, 0)
-	nilQ.ObserveDecisionSpan(qEpoch, nil, "continue")
+	nilQ.ObserveDecision(qEpoch, "x", 1, &sched.Rationale{}, sched.Continue)
 	if nilQ.Report() == nil {
 		t.Fatal("nil audit must still report")
 	}

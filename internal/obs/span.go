@@ -7,14 +7,13 @@ import (
 	"time"
 )
 
-// Span is one traced scheduling decision: the estimate → classify →
-// allocate pipeline of a single OnIterationFinish, carrying the inputs
-// the policy saw (ERT, confidence, pool sizes) so the verdict is
-// attributable after the fact. Spans are created by a Tracer, filled
-// in by the policy, and finished by the engine; the span ID is stamped
-// into the decision's LogRecord.
+// Span is one traced unit of work: a retained scheduling decision,
+// carrying the inputs the policy saw (ERT, confidence, pool sizes) so
+// the verdict is attributable after the fact, or an API or agent step
+// in the same trace. Spans are created and finished by a Tracer; a
+// decision span's ID is stamped into the decision's LogRecord.
 //
-// A nil *Span is a valid no-op, so policies instrument unconditionally.
+// A nil *Span is a valid no-op.
 type Span struct {
 	id     uint64
 	name   string
@@ -24,10 +23,9 @@ type Span struct {
 	trace  string // trace this span belongs to ("" = untraced)
 	parent string // span ID of the causing span, possibly remote
 
-	mu     sync.Mutex
-	attrs  []Attr
-	stages []StageMark
-	end    time.Time
+	mu    sync.Mutex
+	attrs []Attr
+	end   time.Time
 }
 
 // SpanContext is the cross-process identity of a span: enough to stamp
@@ -49,13 +47,6 @@ type Attr struct {
 	Str string  `json:"str,omitempty"`
 }
 
-// StageMark records the completion of one pipeline stage, as elapsed
-// time since span start.
-type StageMark struct {
-	Name    string        `json:"name"`
-	Elapsed time.Duration `json:"elapsed_ns"`
-}
-
 // FormatSpanID renders a raw span identifier in the canonical
 // hexadecimal form used everywhere a span ID appears as a string
 // ("" for the zero ID, which means "no span").
@@ -72,16 +63,6 @@ func (s *Span) ID() string {
 		return ""
 	}
 	return FormatSpanID(s.id)
-}
-
-// RawID returns the span's numeric identifier (0 on nil). Hot paths
-// carry this instead of ID() so the hex string is only materialized
-// for spans somebody actually keeps.
-func (s *Span) RawID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
 }
 
 // Context returns the span's cross-process identity. The zero value on
@@ -130,57 +111,17 @@ func (s *Span) SetStr(key, v string) {
 	s.mu.Unlock()
 }
 
-// Stage marks the end of one pipeline stage.
-func (s *Span) Stage(name string) {
-	if s == nil {
-		return
-	}
-	el := time.Since(s.start)
-	s.mu.Lock()
-	s.stages = append(s.stages, StageMark{Name: name, Elapsed: el})
-	s.mu.Unlock()
-}
-
-// Annotated reports whether the span carries any stage marks or
-// annotations. Engines retain only annotated spans in the tracer ring,
-// so off-boundary no-op decisions measure latency without flooding the
-// introspection window.
-func (s *Span) Annotated() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.attrs) > 0 || len(s.stages) > 0
-}
-
-// Attr returns the first annotation with the given key.
-func (s *Span) Attr(key string) (Attr, bool) {
-	if s == nil {
-		return Attr{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, a := range s.attrs {
-		if a.Key == key {
-			return a, true
-		}
-	}
-	return Attr{}, false
-}
-
 // View is a span's JSON-serializable snapshot.
 type View struct {
-	ID         string      `json:"id"`
-	TraceID    string      `json:"trace_id,omitempty"`
-	ParentID   string      `json:"parent_id,omitempty"`
-	Name       string      `json:"name"`
-	Job        string      `json:"job,omitempty"`
-	Epoch      int         `json:"epoch,omitempty"`
-	Start      time.Time   `json:"start"`
-	DurationNS int64       `json:"duration_ns"`
-	Stages     []StageMark `json:"stages,omitempty"`
-	Attrs      []Attr      `json:"attrs,omitempty"`
+	ID         string    `json:"id"`
+	TraceID    string    `json:"trace_id,omitempty"`
+	ParentID   string    `json:"parent_id,omitempty"`
+	Name       string    `json:"name"`
+	Job        string    `json:"job,omitempty"`
+	Epoch      int       `json:"epoch,omitempty"`
+	Start      time.Time `json:"start"`
+	DurationNS int64     `json:"duration_ns"`
+	Attrs      []Attr    `json:"attrs,omitempty"`
 }
 
 // Snapshot copies the span into a serializable view.
@@ -202,7 +143,6 @@ func (s *Span) Snapshot() View {
 	if !s.end.IsZero() {
 		v.DurationNS = s.end.Sub(s.start).Nanoseconds()
 	}
-	v.Stages = append(v.Stages, s.stages...)
 	v.Attrs = append(v.Attrs, s.attrs...)
 	return v
 }
@@ -214,10 +154,6 @@ type Tracer struct {
 	nextTrace atomic.Uint64
 	origin    uint64          // folded into IDs; set once before use
 	flight    *FlightRecorder // finished spans are forwarded here
-	// pool recycles spans that were started but never retained (see
-	// Release), so per-decision spans on the scheduler hot path stop
-	// costing an allocation each.
-	pool sync.Pool
 
 	mu   sync.Mutex
 	ring []*Span
@@ -267,37 +203,15 @@ func (t *Tracer) StartSpan(name, job string, epoch int, parent SpanContext) *Spa
 	if t == nil {
 		return nil
 	}
-	s, _ := t.pool.Get().(*Span)
-	if s == nil {
-		s = &Span{}
+	return &Span{
+		id:     t.origin | t.next.Add(1),
+		name:   name,
+		job:    job,
+		epoch:  epoch,
+		start:  time.Now(),
+		trace:  parent.TraceID,
+		parent: parent.SpanID,
 	}
-	s.id = t.origin | t.next.Add(1)
-	s.name = name
-	s.job = job
-	s.epoch = epoch
-	s.start = time.Now()
-	s.trace = parent.TraceID
-	s.parent = parent.SpanID
-	return s
-}
-
-// Release returns a span to the tracer's pool for reuse. Only call it
-// for spans that were never passed to Finish and that no one else
-// holds a reference to — i.e. the unretained fast-path spans of
-// off-boundary decisions. Finished spans live in the ring and the
-// flight recorder and must never be released.
-func (t *Tracer) Release(s *Span) {
-	if t == nil || s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.id, s.name, s.job, s.epoch = 0, "", "", 0
-	s.start, s.end = time.Time{}, time.Time{}
-	s.trace, s.parent = "", ""
-	s.attrs = s.attrs[:0]
-	s.stages = s.stages[:0]
-	s.mu.Unlock()
-	t.pool.Put(s)
 }
 
 // NewTraceID mints a fresh trace identifier, namespaced by the

@@ -7,7 +7,74 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/hyperdrive-ml/hyperdrive/internal/sched"
 )
+
+func TestFormatSpanID(t *testing.T) {
+	if got := FormatSpanID(0); got != "" {
+		t.Fatalf("FormatSpanID(0) = %q, want empty (no span)", got)
+	}
+	if got := FormatSpanID(0x2a); got != "00000000002a" {
+		t.Fatalf("FormatSpanID(0x2a) = %q", got)
+	}
+	tr := NewTracer(4)
+	s := tr.Start("decision", "j", 1)
+	if s.ID() != FormatSpanID(s.id) {
+		t.Fatalf("ID() %q != FormatSpanID(id) %q", s.ID(), FormatSpanID(s.id))
+	}
+}
+
+// Finished spans stay in the ring unchanged while later spans start.
+func TestFinishedSpansStayRetained(t *testing.T) {
+	tr := NewTracer(4)
+	s := tr.Start("decision", "j", 0)
+	s.SetAttr("confidence", 1)
+	tr.Finish(s)
+	for i := 0; i < 8; i++ {
+		tr.Start("decision", "j", i).SetAttr("confidence", 0)
+	}
+	spans := tr.Spans()
+	if len(spans) != 1 || spans[0] != s {
+		t.Fatalf("finished span not retained in ring: %+v", spans)
+	}
+	if v := s.Snapshot(); len(v.Attrs) != 1 || v.Attrs[0].Val != 1 {
+		t.Fatalf("retained span mutated after later starts: %+v", v.Attrs)
+	}
+}
+
+// TestRecordDecision checks a retained decision span: it covers the
+// decision's latency, carries the rationale then the verdict, and
+// lands in the ring; a nil tracer records nothing.
+func TestRecordDecision(t *testing.T) {
+	tr := NewTracer(4)
+	why := &sched.Rationale{Evaluated: true, Cause: sched.CauseKillThreshold, KillThreshold: 0.15}
+	before := time.Now()
+	sp := tr.RecordDecision("j", 10, SpanContext{TraceID: "t1", SpanID: "p1"}, 50*time.Millisecond, why, sched.Terminate)
+	v := sp.Snapshot()
+	want := []Attr{{Key: "cause", Str: "kill_threshold"}, {Key: "kill_threshold", Val: 0.15}, {Key: "decision", Str: "terminate"}}
+	if len(v.Attrs) != len(want) {
+		t.Fatalf("attrs = %+v, want %+v", v.Attrs, want)
+	}
+	for i := range want {
+		if v.Attrs[i] != want[i] {
+			t.Fatalf("attr %d = %+v, want %+v", i, v.Attrs[i], want[i])
+		}
+	}
+	if v.Name != "decision" || v.Job != "j" || v.Epoch != 10 || v.TraceID != "t1" || v.ParentID != "p1" {
+		t.Fatalf("span identity = %+v", v)
+	}
+	if v.DurationNS < (50 * time.Millisecond).Nanoseconds() || !v.Start.Before(before) {
+		t.Fatalf("span start %v duration %v, want it to cover the 50ms before recording", v.Start, v.DurationNS)
+	}
+	if got, ok := tr.Find(v.ID); !ok || got != sp {
+		t.Fatal("recorded decision span not resolvable in the ring")
+	}
+	var nilTracer *Tracer
+	if nilTracer.RecordDecision("j", 10, SpanContext{}, 0, why, sched.Terminate) != nil {
+		t.Fatal("nil tracer recorded a span")
+	}
+}
 
 func TestSpanContextPropagation(t *testing.T) {
 	tr := NewTracer(8)

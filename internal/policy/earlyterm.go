@@ -109,9 +109,13 @@ func (e *EarlyTerm) OnIterationFinish(ctx Context, ev sched.Event) sched.Decisio
 		return sched.Continue
 	}
 	p := post.ProbAtLeast(info.MaxEpoch, info.Normalize(globalBest))
-	ev.Span.SetAttr("prob_beats_best", p)
+	why := ev.Rationale
+	if why == nil {
+		why = new(sched.Rationale)
+	}
+	why.Evaluated, why.Compared, why.ProbBeatsBest = true, true, p
 	if p < e.delta {
-		ev.Span.SetStr("cause", "predictive_termination")
+		why.Cause = sched.CausePredictive
 		return sched.Terminate
 	}
 	return sched.Continue

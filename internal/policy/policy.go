@@ -114,6 +114,31 @@ type FitCounter interface {
 	Fits() *obs.Counter
 }
 
+// Resolve walks p through its Unwrap chain (wrappers such as pause
+// control or a timing probe embed the policy they serve), binding
+// every layer's instrumentation to r when r is non-nil, and returns
+// the first POP and the first FitCounter on the chain (nil when there
+// is none). Engines call it once at setup.
+func Resolve(p Policy, r *obs.Registry) (pop *POP, fits FitCounter) {
+	for p != nil {
+		if in, ok := p.(obs.Instrumentable); ok && r != nil {
+			in.Instrument(r)
+		}
+		if q, ok := p.(*POP); ok && pop == nil {
+			pop = q
+		}
+		if fc, ok := p.(FitCounter); ok && fits == nil {
+			fits = fc
+		}
+		u, ok := p.(interface{ Unwrap() Policy })
+		if !ok {
+			break
+		}
+		p = u.Unwrap()
+	}
+	return pop, fits
+}
+
 // Factory builds a fresh policy instance for one experiment run;
 // policies are stateful and must not be shared across runs.
 type Factory func() (Policy, error)

@@ -55,7 +55,7 @@ type POPOptions struct {
 }
 
 // credibleBandLow / credibleBandHigh are the posterior quantiles of
-// the 90% credible band stamped on estimates and decision spans.
+// the 90% credible band stamped on estimates and decision rationales.
 const (
 	credibleBandLow  = 0.05
 	credibleBandHigh = 0.95
@@ -145,11 +145,15 @@ func (*POP) ApplicationStat(Context, sched.Event) {}
 // jobs so exploration rotates.
 func (p *POP) OnIterationFinish(ctx Context, ev sched.Event) sched.Decision {
 	info := ctx.Info()
-	sp := ev.Span
 	bnd := boundary(p.opts.Boundary, info)
 	if ev.Epoch%bnd != 0 || ev.Epoch >= info.MaxEpoch {
 		return sched.Continue
 	}
+	why := ev.Rationale
+	if why == nil {
+		why = new(sched.Rationale)
+	}
+	why.Evaluated = true
 
 	// 1. Domain-knowledge pruning before any prediction work.
 	history := ctx.DB().History(ev.Job)
@@ -160,8 +164,8 @@ func (p *POP) OnIterationFinish(ctx Context, ev sched.Event) sched.Decision {
 		}
 		if kd := core.ShouldKill(history, info.KillThreshold, grace); kd.Kill {
 			p.dropEstimate(ev.Job)
-			sp.SetStr("cause", "kill_threshold")
-			sp.SetAttr("kill_threshold", info.KillThreshold)
+			why.Cause = sched.CauseKillThreshold
+			why.KillThreshold = info.KillThreshold
 			return sched.Terminate
 		}
 	}
@@ -171,17 +175,12 @@ func (p *POP) OnIterationFinish(ctx Context, ev sched.Event) sched.Decision {
 	p.mu.Lock()
 	p.estimates[ev.Job] = est
 	p.mu.Unlock()
-	sp.Stage("estimate")
-	sp.SetAttr("confidence", est.Confidence)
-	sp.SetAttr("ert_seconds", est.ERT.Seconds())
-	sp.SetAttr("epoch_duration_seconds", est.EpochDuration.Seconds())
+	why.Estimated = true
+	why.Confidence, why.ERT, why.EpochDuration = est.Confidence, est.ERT, est.EpochDuration
 	if est.BandHigh > est.BandLow {
-		sp.SetAttr("band_lo", est.BandLow)
-		sp.SetAttr("band_hi", est.BandHigh)
+		why.BandLow, why.BandHigh = est.BandLow, est.BandHigh
 	}
-	if est.Truncated {
-		sp.SetAttr("truncated", 1)
-	}
+	why.Truncated = est.Truncated
 
 	// 3. Confidence-floor pruning: unlikely to reach the target. Not
 	// applied before MinPruneEpochs of history: one boundary of
@@ -192,18 +191,17 @@ func (p *POP) OnIterationFinish(ctx Context, ev sched.Event) sched.Decision {
 	}
 	if ev.Epoch >= minPrune && est.Confidence < p.opts.ConfidenceFloor {
 		p.dropEstimate(ev.Job)
-		sp.SetStr("cause", "confidence_floor")
-		sp.SetAttr("confidence_floor", p.opts.ConfidenceFloor)
+		why.Cause = sched.CauseConfidenceFloor
+		why.ConfidenceFloor = p.opts.ConfidenceFloor
 		return sched.Terminate
 	}
 
 	// 4-5. Slot division and classification across all active jobs.
 	alloc := p.allocate(ctx)
-	sp.Stage("classify")
-	sp.SetAttr("threshold", alloc.Threshold)
-	sp.SetAttr("promising_jobs", float64(len(alloc.Promising)))
-	sp.SetAttr("opportunistic_jobs", float64(len(alloc.Opportunistic)))
-	sp.SetAttr("promising_slots", float64(alloc.PromisingSlots))
+	why.Allocated = true
+	why.Threshold = alloc.Threshold
+	why.PromisingJobs, why.OpportunisticJobs = len(alloc.Promising), len(alloc.Opportunistic)
+	why.PromisingSlots = alloc.PromisingSlots
 	for _, e := range alloc.Promising {
 		ctx.LabelJob(sched.JobID(e.JobID), e.Confidence)
 	}
@@ -215,12 +213,11 @@ func (p *POP) OnIterationFinish(ctx Context, ev sched.Event) sched.Decision {
 			break
 		}
 	}
-	sp.Stage("allocate")
 	if promising {
-		sp.SetStr("class", "promising")
+		why.Class = sched.ClassPromising
 		return sched.Continue
 	}
-	sp.SetStr("class", "opportunistic")
+	why.Class = sched.ClassOpportunistic
 	// 6. Opportunistic: rotate the exploration pool. Suspending only
 	// makes sense when another job is waiting for the slot.
 	if ctx.IdleJobs() > 0 {

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/hyperdrive-ml/hyperdrive/internal/obs"
 	"github.com/hyperdrive-ml/hyperdrive/internal/param"
 )
 
@@ -189,11 +188,10 @@ type Event struct {
 	Metric   float64
 	Duration time.Duration // duration of the epoch that just finished
 	Time     time.Time     // experiment-clock timestamp
-	// Span, when non-nil, is the decision trace the engine opened for
-	// this up-call; policies annotate it with the inputs behind their
-	// verdict (estimate, classification, allocation). Nil span methods
-	// are no-ops, so policies annotate unconditionally.
-	Span *obs.Span
+	// Rationale, when non-nil, is the zeroed record the engine hands in
+	// with an OnIterationFinish up-call; the policy fills in the inputs
+	// behind its verdict (estimate, classification, allocation).
+	Rationale *Rationale
 }
 
 // Decision is the SAP's verdict at an iteration boundary.

@@ -44,8 +44,6 @@ type tenant struct {
 	name   string
 	weight float64
 	leases map[*Lease]struct{}
-	held   *obs.Gauge
-	share  *obs.Gauge
 	// Fleet telemetry refreshed by Sample rather than on every slot
 	// transition: deficit and starvation need a full walk anyway.
 	leaseHeld    *obs.Gauge
@@ -55,7 +53,7 @@ type tenant struct {
 }
 
 // NewBroker wraps a shared pool. reg (optional) receives per-tenant
-// held/share gauges and fairness telemetry; a nil reg disables all of
+// lease gauges and fairness telemetry; a nil reg disables all of
 // it, including starvation clock reads. wake (optional) runs after
 // every slot release.
 func NewBroker(pool cluster.SlotPool, reg *obs.Registry, wake func()) *Broker {
@@ -81,8 +79,6 @@ func (b *Broker) Join(name string, weight float64) *Lease {
 		t = &tenant{
 			name:         name,
 			leases:       make(map[*Lease]struct{}),
-			held:         b.reg.Gauge(obs.TenantHeldSlots(name)),
-			share:        b.reg.Gauge(obs.TenantShareSlots(name)),
 			leaseHeld:    b.reg.Gauge(obs.ServeLeaseHeld(name)),
 			leaseShare:   b.reg.Gauge(obs.ServeLeaseShare(name)),
 			leaseDeficit: b.reg.Gauge(obs.ServeLeaseDeficit(name)),
@@ -99,7 +95,6 @@ func (b *Broker) Join(name string, weight float64) *Lease {
 	if l.total < 1 {
 		l.total = 1
 	}
-	b.refreshShareGaugesLocked()
 	b.mu.Unlock()
 	return l
 }
@@ -154,12 +149,6 @@ func (b *Broker) deficitLocked(l *Lease) int {
 		}
 	}
 	return d
-}
-
-func (b *Broker) refreshShareGaugesLocked() {
-	for _, t := range b.tenants {
-		t.share.Set(b.shareLocked(t))
-	}
 }
 
 func (b *Broker) heldLocked(t *tenant) int {
@@ -323,7 +312,6 @@ func (l *Lease) ReserveIdleMachine() (cluster.SlotID, bool) {
 	}
 	l.held[slot] = struct{}{}
 	l.starvedSince = time.Time{}
-	l.t.held.Set(float64(l.b.heldLocked(l.t)))
 	return slot, true
 }
 
@@ -338,7 +326,6 @@ func (l *Lease) ReleaseMachine(slot cluster.SlotID) error {
 	}
 	delete(l.held, slot)
 	err := l.b.pool.ReleaseMachine(slot)
-	l.t.held.Set(float64(l.b.heldLocked(l.t)))
 	wake := l.b.wake
 	l.b.mu.Unlock()
 	if wake != nil {
@@ -432,8 +419,6 @@ func (l *Lease) Close() {
 		_ = l.b.pool.ReleaseMachine(slot)
 	}
 	delete(l.t.leases, l)
-	l.t.held.Set(float64(l.b.heldLocked(l.t)))
-	l.b.refreshShareGaugesLocked()
 	wake := l.b.wake
 	l.b.mu.Unlock()
 	if wake != nil {

@@ -12,10 +12,6 @@ import (
 // multi-second long-polls on /events.
 var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 30}
 
-// retryAfterBuckets covers the Retry-After hints the server emits:
-// 1s rate-limit waits up to sustained admission backpressure.
-var retryAfterBuckets = []float64{1, 2, 5, 10, 30, 60}
-
 // statusRecorder captures the response status code so the middleware
 // can count it by class after the handler returns.
 type statusRecorder struct {

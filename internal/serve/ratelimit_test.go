@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -161,11 +162,62 @@ func TestHandlerRateLimited(t *testing.T) {
 	if rec := get("b"); rec.Code != http.StatusOK {
 		t.Fatalf("other tenant: HTTP %d, want 200", rec.Code)
 	}
-	if n := reg.Counter(obs.ServeRateLimitRejectsTotal("a")).Value(); n != 1 {
-		t.Fatalf("rate-limit rejects for a = %d, want 1", n)
+	if n := reg.Counter(obs.ServeRateLimitedTotal).Value(); n != 1 {
+		t.Fatalf("rate-limited requests = %d, want 1", n)
 	}
 	clk.advance(4 * time.Second)
 	if rec := get("a"); rec.Code != http.StatusOK {
 		t.Fatalf("after refill: HTTP %d, want 200", rec.Code)
+	}
+}
+
+// TestRefusedTenantsAddNoSeries refuses requests from a client that
+// rotates X-Tenant and checks that /metrics does not grow with the
+// number of tenants: refusals are counted only on the unlabelled
+// counter.
+func TestRefusedTenantsAddNoSeries(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, _ := bootServer(t, 1, 4, reg)
+	clk := newFakeNow()
+	srv.limiter = newRateLimiter(1, 1, clk.now)
+	h := srv.Handler()
+	get := func(tenant, path string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.Header.Set("X-Tenant", tenant)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	refuse := func(from, to int) {
+		for i := from; i < to; i++ {
+			tenant := fmt.Sprintf("rot%d", i)
+			get(tenant, "/v1/experiments")
+			if rec := get(tenant, "/v1/experiments"); rec.Code != http.StatusTooManyRequests {
+				t.Fatalf("tenant %s second request: HTTP %d, want 429", tenant, rec.Code)
+			}
+		}
+	}
+	series := func(scraper string) int {
+		rec := get(scraper, "/metrics")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/metrics: HTTP %d", rec.Code)
+		}
+		n := 0
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") {
+				n++
+			}
+		}
+		return n
+	}
+
+	refuse(0, 10)
+	after10 := series("scraper-1")
+	refuse(10, 1000)
+	if after1000 := series("scraper-2"); after1000 != after10 {
+		t.Fatalf("/metrics has %d series after 1000 refused tenants, %d after 10", after1000, after10)
+	}
+	if n := reg.Counter(obs.ServeRateLimitedTotal).Value(); n != 1000 {
+		t.Fatalf("rate-limited requests = %d, want 1000", n)
 	}
 }

@@ -204,12 +204,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		if ok, retry := s.limiter.allow(tenant); !ok {
 			s.metRateLimited.Inc()
-			secs := retrySeconds(retry)
-			if s.reg != nil {
-				s.reg.Counter(obs.ServeRateLimitRejectsTotal(tenant)).Inc()
-				s.reg.Histogram(obs.ServeRetryAfterSeconds(tenant), retryAfterBuckets...).Observe(float64(secs))
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
+			w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(retry)))
 			http.Error(w, "tenant rate limit exceeded", http.StatusTooManyRequests)
 			return
 		}
@@ -329,9 +324,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if active >= s.opts.MaxExperiments || active >= s.pool.Total() {
 		s.mu.Unlock()
 		s.metAdmissionRej.Inc()
-		if s.reg != nil {
-			s.reg.Histogram(obs.ServeRetryAfterSeconds(req.Tenant), retryAfterBuckets...).Observe(5)
-		}
 		w.Header().Set("Retry-After", "5")
 		http.Error(w, fmt.Sprintf("saturated: %d active experiments (cap %d, slots %d)",
 			active, s.opts.MaxExperiments, s.pool.Total()), http.StatusTooManyRequests)

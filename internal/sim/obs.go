@@ -3,6 +3,7 @@ package sim
 import (
 	"time"
 
+	"github.com/hyperdrive-ml/hyperdrive/internal/core"
 	"github.com/hyperdrive-ml/hyperdrive/internal/obs"
 	"github.com/hyperdrive-ml/hyperdrive/internal/policy"
 	"github.com/hyperdrive-ml/hyperdrive/internal/sched"
@@ -17,16 +18,11 @@ import (
 // the run. The event loop is single-threaded, so counts are buffered
 // in plain fields and flushed to the registry at job lifecycle points
 // (start/suspend/terminate/complete) and at the end of the run;
-// decision latency is sampled 1-in-256, and spans are created only at
-// evaluation boundaries of policies that actually annotate them.
+// decision latency is sampled 1-in-256, and spans are created only for
+// decisions the policy evaluated.
 type simMetrics struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
-	// traced means the policy annotates spans (it implements
-	// obs.Instrumentable — POP and EarlyTerm do; the baselines don't),
-	// so boundary-epoch spans are worth allocating.
-	traced   bool
-	boundary int
 	// fits and predCost model decision latency in simulated time: a
 	// sampled decision's latency is (fit delta) × PredictionCost, the
 	// same cost model the engine charges machines with. Wall-clock
@@ -39,8 +35,7 @@ type simMetrics struct {
 	startsC, suspendsC, terminationsC, completionsC *obs.Counter
 	decisionLatency, epochDur                       *obs.Histogram
 
-	slotsTotal, slotsBusy, jobsActive, jobsSuspended, best            *obs.Gauge
-	poolPromSlots, poolOppSlots, poolPromJobs, poolOppJobs, threshold *obs.Gauge
+	slotsTotal, slotsBusy, jobsActive, jobsSuspended, best *obs.Gauge
 
 	// Buffered event-loop state. Owned by the single simulation
 	// goroutine; only the flushed registry values are shared. Epochs
@@ -61,23 +56,14 @@ const (
 	durSampleEvery     = 32
 )
 
-func newSimMetrics(r *obs.Registry, pol policy.Policy, info policy.Info, predCost time.Duration) *simMetrics {
-	_, traced := pol.(obs.Instrumentable)
-	b := info.EvalBoundary
-	if b <= 0 {
-		if b = info.MaxEpoch / 15; b < 1 {
-			b = 1
-		}
-	}
+func newSimMetrics(r *obs.Registry, fc policy.FitCounter, predCost time.Duration) *simMetrics {
 	var fits *obs.Counter
-	if fc, ok := pol.(policy.FitCounter); ok {
+	if fc != nil {
 		fits = fc.Fits()
 	}
 	return &simMetrics{
 		reg:             r,
 		tracer:          r.Tracer(),
-		traced:          traced,
-		boundary:        b,
 		fits:            fits,
 		predCost:        predCost,
 		epochsC:         r.Counter(obs.EpochsTotal),
@@ -95,11 +81,6 @@ func newSimMetrics(r *obs.Registry, pol policy.Policy, info policy.Info, predCos
 		jobsActive:      r.Gauge(obs.JobsActive),
 		jobsSuspended:   r.Gauge(obs.JobsSuspended),
 		best:            r.Gauge(obs.BestMetric),
-		poolPromSlots:   r.Gauge(obs.PoolPromisingSlots),
-		poolOppSlots:    r.Gauge(obs.PoolOpportunisticSlots),
-		poolPromJobs:    r.Gauge(obs.PoolPromisingJobs),
-		poolOppJobs:     r.Gauge(obs.PoolOpportunisticJobs),
-		threshold:       r.Gauge(obs.ClassificationThreshold),
 	}
 }
 
@@ -153,24 +134,17 @@ func (e *engine) refreshGauges() {
 
 // observeDecision wraps one OnIterationFinish, mirroring the live
 // engine at a cost the simulator can afford: every decision is
-// counted, latency is sampled, and spans are allocated only when the
-// policy might annotate them (evaluation boundaries) or the decision
-// is a latency sample.
+// counted, latency is sampled, and a span is recorded only for a
+// decision the policy evaluated.
 func (e *engine) observeDecision(sev *sched.Event, run func() sched.Decision) sched.Decision {
 	m := e.met
 	if m.reg == nil {
 		return run()
 	}
 	m.nDec++
-	sampled := m.nDec&(latencySampleEvery-1) == 1
-	boundary := m.traced && sev.Epoch >= m.boundary && sev.Epoch%m.boundary == 0
-	if !sampled && !boundary {
-		d := run()
-		m.dec[d&3]++
-		return d
-	}
-	sp := m.tracer.Start("decision", string(sev.Job), sev.Epoch)
-	sev.Span = sp
+	why := &e.why
+	*why = sched.Rationale{}
+	sev.Rationale = why
 	// Latency is modeled, not measured: wall-clock timing would differ
 	// across hosts and runs, breaking bit-identical replay output. A
 	// decision's simulated cost is the curve fits it triggered times
@@ -178,120 +152,53 @@ func (e *engine) observeDecision(sev *sched.Event, run func() sched.Decision) sc
 	fits0 := m.fits.Value()
 	d := run()
 	lat := time.Duration(m.fits.Value()-fits0) * m.predCost
-	if sampled {
+	if m.nDec&(latencySampleEvery-1) == 1 {
 		m.decisionLatency.Observe(lat.Seconds())
 	}
 	m.dec[d&3]++
-	if sp.Annotated() {
-		sp.SetStr("decision", d.String())
-		m.tracer.Finish(sp)
-		e.emitDecisionTrace(sev, sp, lat)
-		e.qual.ObserveDecisionSpan(e.start.Add(e.now), sp, d.String())
+	if why.Evaluated {
+		sp := m.tracer.RecordDecision(string(sev.Job), sev.Epoch, obs.SpanContext{}, lat, why, d)
+		e.emitDecisionTrace(sev, why, d, sp, lat)
+		e.qual.ObserveDecision(e.start.Add(e.now), string(sev.Job), sev.Epoch, why, d)
 		e.publishClassification()
 	}
 	return d
 }
 
-// emitDecisionTrace mirrors one retained decision span onto the Chrome
+// emitDecisionTrace mirrors one retained decision onto the Chrome
 // trace: a slice on the "decisions" track whose duration is the
 // decision's modeled latency (fits triggered × per-fit cost — the same
 // simulated-time model the latency histogram records, so the export
-// stays host-independent). The span's annotations (ERT, confidence,
-// pool sizes, verdict) become the slice's args.
-func (e *engine) emitDecisionTrace(sev *sched.Event, sp *obs.Span, lat time.Duration) {
+// stays host-independent). The policy's rationale (ERT, confidence,
+// pool sizes) and the verdict become the slice's args.
+func (e *engine) emitDecisionTrace(sev *sched.Event, why *sched.Rationale, d sched.Decision, sp *obs.Span, lat time.Duration) {
 	if e.opts.TraceSink == nil {
 		return
 	}
-	v := sp.Snapshot()
-	args := make(map[string]interface{}, len(v.Attrs)+1)
-	for _, a := range v.Attrs {
-		if a.Str != "" {
-			args[a.Key] = a.Str
-		} else {
-			args[a.Key] = a.Val
-		}
-	}
-	args["span"] = v.ID
+	args := obs.DecisionArgs(why, d)
+	args["span"] = sp.ID()
 	e.opts.TraceSink.Complete("sim", "decisions", "decision "+string(sev.Job),
 		e.start.Add(e.now), lat, args)
 }
 
 // publishClassification mirrors POP's slot division and the job table
-// onto the registry after each boundary decision.
+// onto the registry after each evaluated decision.
 func (e *engine) publishClassification() {
-	if e.met.reg == nil {
-		return
+	var (
+		alloc *core.Allocation
+		ests  map[sched.JobID]core.Estimate
+	)
+	if e.pop != nil {
+		a := e.pop.Allocation(e)
+		alloc, ests = &a, e.pop.Estimates()
 	}
-	pop, hasPOP := e.opts.Policy.(*policy.POP)
-	var promising map[string]bool
-	var ests map[sched.JobID]float64
-	var erts map[sched.JobID]float64
-	if hasPOP {
-		alloc := pop.Allocation(e)
-		e.met.threshold.Set(alloc.Threshold)
-		e.met.poolPromSlots.Set(float64(alloc.PromisingSlots))
-		oppSlots := e.opts.Machines - alloc.PromisingSlots
-		if oppSlots < 0 {
-			oppSlots = 0
-		}
-		e.met.poolOppSlots.Set(float64(oppSlots))
-		e.met.poolPromJobs.Set(float64(len(alloc.Promising)))
-		e.met.poolOppJobs.Set(float64(len(alloc.Opportunistic)))
-		promising = make(map[string]bool, len(alloc.Promising))
-		for _, est := range alloc.Promising {
-			promising[est.JobID] = true
-		}
-		ests = make(map[sched.JobID]float64)
-		erts = make(map[sched.JobID]float64)
-		for id, est := range pop.Estimates() {
-			ests[id] = est.Confidence
-			erts[id] = est.ERT.Seconds()
-		}
+	states := make([]obs.JobState, len(e.jobs))
+	for i, j := range e.jobs {
+		states[i] = obs.JobState{Job: j.job, Best: j.best}
 	}
-	rows := make([]obs.JobRow, 0, len(e.jobs))
-	for _, j := range e.jobs {
-		st := j.job.State()
-		row := obs.JobRow{
-			Job:      string(j.id),
-			State:    st.String(),
-			Epoch:    j.epoch,
-			Best:     j.best,
-			Priority: j.job.Priority(),
-		}
-		if hasPOP {
-			row.Confidence = ests[j.id]
-			row.ERTSeconds = erts[j.id]
-			switch {
-			case promising[string(j.id)]:
-				row.Class = "promising"
-			case st == sched.Terminated:
-				row.Class = "poor"
-			case st == sched.Running || st == sched.Suspended:
-				row.Class = "opportunistic"
-			}
-			// One trace marker per classification change, not per refresh.
-			if row.Class != "" && e.lastClass[j.id] != row.Class {
-				e.lastClass[j.id] = row.Class
-				e.opts.TraceSink.Instant("sim", "classes", string(j.id)+": "+row.Class,
-					e.start.Add(e.now),
-					map[string]interface{}{"confidence": row.Confidence, "ert_seconds": row.ERTSeconds})
-			}
-		}
-		rows = append(rows, row)
-	}
-	e.met.reg.PublishJobTable(rows)
-	if e.qual != nil && hasPOP {
-		var prom, opp, poor int
-		for _, row := range rows {
-			switch row.Class {
-			case "promising":
-				prom++
-			case "opportunistic":
-				opp++
-			case "poor":
-				poor++
-			}
-		}
-		e.qual.RecordPool(e.start.Add(e.now), prom, opp, poor)
-	}
+	now := e.start.Add(e.now)
+	e.classes.Publish(now, e.opts.Machines, alloc, ests, states, func(row obs.JobRow) {
+		e.opts.TraceSink.Instant("sim", "classes", row.Job+": "+row.Class, now,
+			map[string]interface{}{"confidence": row.Confidence, "ert_seconds": row.ERTSeconds})
+	})
 }

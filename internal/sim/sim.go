@@ -223,9 +223,16 @@ type engine struct {
 	stopAt  float64
 	met     *simMetrics
 	qual    *obs.QualityAudit
-	// lastClass remembers each job's last published classification so
-	// the trace gets one marker per change, not one per refresh.
-	lastClass map[sched.JobID]string
+	// classes publishes the job table after evaluated decisions (nil
+	// without a registry).
+	classes *obs.ClassTable
+	// pop and fits are the POP/fit-counting views of the policy,
+	// resolved once by policy.Resolve; nil when it has neither.
+	pop  *policy.POP
+	fits policy.FitCounter
+	// why is the rationale handed to every instrumented decision,
+	// reused so decisions do not allocate.
+	why sched.Rationale
 }
 
 var simEpoch = time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
@@ -257,13 +264,12 @@ func Run(opts Options) (*Result, error) {
 
 	tr := opts.Trace
 	e := &engine{
-		opts:      opts,
-		db:        appstat.NewDB(),
-		start:     simEpoch,
-		byID:      make(map[sched.JobID]*simJob),
-		running:   make(map[int]*simJob),
-		lastClass: make(map[sched.JobID]string),
-		res:       &Result{},
+		opts:    opts,
+		db:      appstat.NewDB(),
+		start:   simEpoch,
+		byID:    make(map[sched.JobID]*simJob),
+		running: make(map[int]*simJob),
+		res:     &Result{},
 		info: policy.Info{
 			Workload:      tr.Workload,
 			Target:        tr.Target,
@@ -282,7 +288,8 @@ func Run(opts Options) (*Result, error) {
 	if opts.PlanTarget != 0 {
 		e.info.Target = opts.PlanTarget
 	}
-	e.met = newSimMetrics(opts.Obs, opts.Policy, e.info, opts.PredictionCost)
+	e.pop, e.fits = policy.Resolve(opts.Policy, opts.Obs)
+	e.met = newSimMetrics(opts.Obs, e.fits, opts.PredictionCost)
 	e.stopAt = e.info.Target
 	if opts.StopMetric != 0 {
 		e.stopAt = opts.StopMetric
@@ -314,6 +321,9 @@ func Run(opts Options) (*Result, error) {
 	if e.qual == nil && opts.Obs != nil {
 		e.qual = opts.Obs.Quality()
 	}
+	if opts.Obs != nil {
+		e.classes = obs.NewClassTable(opts.Obs, e.qual)
+	}
 	e.setupQuality()
 
 	e.run()
@@ -322,11 +332,6 @@ func Run(opts Options) (*Result, error) {
 
 // run executes the event loop.
 func (e *engine) run() {
-	if e.opts.Obs != nil {
-		if in, ok := e.opts.Policy.(obs.Instrumentable); ok {
-			in.Instrument(e.opts.Obs)
-		}
-	}
 	e.opts.Policy.AllocateJobs(e)
 	e.refreshGauges()
 	for e.events.Len() > 0 {
@@ -371,8 +376,8 @@ func (e *engine) handleEpochFinish(ev *event) bool {
 	}
 	pol := e.opts.Policy
 	pol.ApplicationStat(e, sev)
-	if pop, ok := pol.(*policy.POP); ok {
-		pop.ObserveBest(e.info, s.Metric)
+	if e.pop != nil {
+		e.pop.ObserveBest(e.info, s.Metric)
 	}
 
 	if e.updateBest(j, s.Metric) && e.opts.StopAtTarget {
@@ -404,8 +409,8 @@ func (e *engine) handleEpochFinish(ev *event) bool {
 	// Blocking prediction cost: delay this machine by the fits that
 	// the decision just performed.
 	var predDelay time.Duration
-	if fc, ok := pol.(policy.FitCounter); ok {
-		fits := int(fc.Fits().Value())
+	if e.fits != nil {
+		fits := int(e.fits.Fits().Value())
 		e.res.Fits = fits
 		if !e.opts.OverlapPrediction && e.opts.PredictionCost > 0 {
 			predDelay = time.Duration(fits-e.lastFit) * e.opts.PredictionCost
@@ -572,11 +577,10 @@ func (e *engine) nextIdle() (*simJob, bool) {
 
 // sampleRatio records POP's promising/active ratio (Figure 4c).
 func (e *engine) sampleRatio() {
-	pop, ok := e.opts.Policy.(*policy.POP)
-	if !ok {
+	if e.pop == nil {
 		return
 	}
-	alloc := pop.Allocation(e)
+	alloc := e.pop.Allocation(e)
 	active := len(e.ActiveJobs())
 	if active == 0 {
 		return
@@ -612,8 +616,8 @@ func (e *engine) finish() {
 			Best:       j.best,
 		})
 	}
-	if fc, ok := e.opts.Policy.(policy.FitCounter); ok {
-		e.res.Fits = int(fc.Fits().Value())
+	if e.fits != nil {
+		e.res.Fits = int(e.fits.Fits().Value())
 	}
 	e.recordQualityOutcomes()
 	e.refreshGauges() // final flush of buffered telemetry

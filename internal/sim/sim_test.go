@@ -9,6 +9,7 @@ import (
 
 	"github.com/hyperdrive-ml/hyperdrive/internal/checkpoint"
 	"github.com/hyperdrive-ml/hyperdrive/internal/curve"
+	"github.com/hyperdrive-ml/hyperdrive/internal/obs"
 	"github.com/hyperdrive-ml/hyperdrive/internal/param"
 	"github.com/hyperdrive-ml/hyperdrive/internal/policy"
 	"github.com/hyperdrive-ml/hyperdrive/internal/sched"
@@ -329,22 +330,47 @@ func TestBlockingPredictionSlowerThanOverlap(t *testing.T) {
 	}
 }
 
+// unwrapPolicy embeds a policy the way serving-side wrappers (pause
+// control, timing probes) do, exposing it only through Unwrap.
+type unwrapPolicy struct{ policy.Policy }
+
+func (u unwrapPolicy) Unwrap() policy.Policy { return u.Policy }
+
+// TestPOPRatioTrackingPopulated runs POP bare and behind an Unwrap
+// wrapper: either way the simulator samples POP's slot division and
+// publishes classified rows on the job table.
 func TestPOPRatioTrackingPopulated(t *testing.T) {
 	tr := testTrace(t, 15, 13)
-	pop, err := policy.NewPOP(policy.POPOptions{Predictor: tinyPredictor()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Options{Trace: tr, Machines: 3, Policy: pop, TrackAllocation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Ratios) == 0 {
-		t.Fatal("no allocation ratio samples recorded")
-	}
-	for _, r := range res.Ratios {
-		if r.Ratio < 0 || r.Ratio > 1 {
-			t.Fatalf("ratio %v out of [0,1]", r.Ratio)
+	for _, wrap := range []bool{false, true} {
+		pop, err := policy.NewPOP(policy.POPOptions{Predictor: tinyPredictor()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pol policy.Policy = pop
+		if wrap {
+			pol = unwrapPolicy{pop}
+		}
+		reg := obs.NewRegistry()
+		res, err := Run(Options{Trace: tr, Machines: 3, Policy: pol, TrackAllocation: true, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Ratios) == 0 {
+			t.Fatalf("wrapped=%v: no allocation ratio samples recorded", wrap)
+		}
+		for _, r := range res.Ratios {
+			if r.Ratio < 0 || r.Ratio > 1 {
+				t.Fatalf("wrapped=%v: ratio %v out of [0,1]", wrap, r.Ratio)
+			}
+		}
+		classified := 0
+		for _, row := range reg.JobTable() {
+			if row.Class != "" {
+				classified++
+			}
+		}
+		if classified == 0 {
+			t.Fatalf("wrapped=%v: job table has no classified rows: %+v", wrap, reg.JobTable())
 		}
 	}
 }

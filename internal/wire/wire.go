@@ -276,16 +276,10 @@ type StartJobPayload struct {
 }
 
 // DecisionPayload carries the SAP's OnIterationFinish verdict back to
-// the agent that raised the iteration boundary, along with the
-// scheduler-side prediction behind it (zero off evaluation
-// boundaries) so agent-side logs can explain why a job was suspended
-// or terminated.
+// the agent that raised the iteration boundary.
 type DecisionPayload struct {
-	JobID      string  `json:"jobId"`
-	Decision   string  `json:"decision"` // "continue" | "suspend" | "terminate"
-	Confidence float64 `json:"confidence,omitempty"`
-	ERTSeconds float64 `json:"ertSeconds,omitempty"`
-	Class      string  `json:"class,omitempty"`
+	JobID    string `json:"jobId"`
+	Decision string `json:"decision"` // "continue" | "suspend" | "terminate"
 	TraceContext
 }
 

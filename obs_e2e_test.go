@@ -98,8 +98,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			continue // evicted from the ring; acceptable
 		}
 		resolved++
-		if _, ok := sp.Attr("confidence"); ok {
-			withEstimate++
+		for _, a := range sp.Snapshot().Attrs {
+			if a.Key == "confidence" {
+				withEstimate++
+				break
+			}
 		}
 	}
 	if stamped == 0 {
