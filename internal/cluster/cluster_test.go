@@ -56,45 +56,6 @@ func TestResourceManager(t *testing.T) {
 	_ = s2
 }
 
-func TestJobManager(t *testing.T) {
-	jm := NewJobManager()
-	a, err := jm.Add("a", param.Config{"x": 1}, 1, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jm.Add("a", nil, 1, 100); err == nil {
-		t.Fatal("duplicate job accepted")
-	}
-	b, _ := jm.Add("b", param.Config{"x": 2}, 2, 100)
-
-	// No suspended jobs yet.
-	if _, ok := jm.GetIdleJob(); ok {
-		t.Fatal("GetIdleJob found something before any suspend")
-	}
-	for _, mj := range []*ManagedJob{a, b} {
-		if err := mj.Job.Start("m"); err != nil {
-			t.Fatal(err)
-		}
-		if err := mj.Job.Suspend(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// FIFO: a was created first.
-	mj, ok := jm.GetIdleJob()
-	if !ok || mj.Job.ID != "a" {
-		t.Fatalf("GetIdleJob = %v, want a (FIFO)", mj.Job.ID)
-	}
-	// Priority beats FIFO.
-	jm.LabelJob("b", 0.9)
-	mj, _ = jm.GetIdleJob()
-	if mj.Job.ID != "b" {
-		t.Fatalf("GetIdleJob = %v, want b (priority)", mj.Job.ID)
-	}
-	if jm.SuspendedCount() != 2 || len(jm.Active()) != 2 {
-		t.Fatalf("suspended=%d active=%d", jm.SuspendedCount(), len(jm.Active()))
-	}
-}
-
 func TestWorkerPoolValidation(t *testing.T) {
 	events := make(chan Event, 1)
 	reg := workload.NewRegistry()
@@ -286,7 +247,7 @@ func TestExperimentPOPSuspendResume(t *testing.T) {
 		t.Fatal("POP terminated nothing on 10 random configs")
 	}
 	if res.Suspends > 0 {
-		if res.Resumes == 0 && res.Suspends > e.jm.SuspendedCount() {
+		if res.Resumes == 0 && res.Suspends > e.book.Suspended() {
 			t.Fatal("suspended jobs never resumed")
 		}
 		if len(res.Overheads.Records()) != res.Suspends {

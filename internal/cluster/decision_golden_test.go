@@ -45,6 +45,10 @@ type goldenDecision struct {
 	logDetail       string
 	// PredictionRecord fields.
 	pred obs.PredictionRecord
+	// noPred marks a verdict the policy reached without an estimate:
+	// it is retained and logged, but the quality audit must not score
+	// it as a prediction.
+	noPred bool
 }
 
 func goldenRising(n int, final float64) []float64 {
@@ -66,6 +70,14 @@ func goldenFlat(n int, v float64) []float64 {
 
 func goldenPOP(t *testing.T) policy.Policy {
 	p, err := policy.NewPOP(policy.POPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func goldenBandit(t *testing.T) policy.Policy {
+	p, err := policy.NewBandit(policy.BanditOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +200,23 @@ var goldenDecisions = []goldenDecision{
 		logERT: 40800, logClass: "opportunistic",
 		pred: obs.PredictionRecord{ERTSeconds: 40800, Truncated: true, Class: "opportunistic", Decision: "suspend"},
 	},
+	{
+		// Bandit eliminates without estimating anything: the terminate
+		// is retained and logged, but is no prediction to calibrate.
+		name: "bandit unevaluated termination", pol: goldenBandit,
+		feed: map[sched.JobID][]float64{"leader": goldenRising(10, 0.75), "flat": goldenFlat(10, 0.12)},
+		job:  "flat", epoch: 10, decision: sched.Terminate,
+		attrs: []goldenAttr{
+			{Key: "decision", Str: "terminate"},
+		},
+		noPred: true,
+	},
 }
 
-// TestDecisionGolden drives real POP and EarlyTerm decisions through the
-// live engine's decision path and checks the retained span, the
-// event-log decision record, and the quality audit's prediction
-// against recorded values.
+// TestDecisionGolden drives real POP, EarlyTerm and Bandit decisions
+// through the live engine's decision path and checks the retained span,
+// the event-log decision record, and the quality audit's prediction (or
+// its absence) against recorded values.
 func TestDecisionGolden(t *testing.T) {
 	for _, tc := range goldenDecisions {
 		tc := tc
@@ -237,7 +260,7 @@ func runGoldenDecision(t *testing.T, tc goldenDecision) goldenResult {
 
 	slot := 0
 	for _, id := range append(append([]sched.JobID(nil), tc.prime...), goldenOthers(tc)...) {
-		mj, err := e.jm.Add(id, param.Config{"x": float64(slot)}, int64(slot), 120)
+		mj, err := e.addJob(id, param.Config{"x": float64(slot)}, int64(slot))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,6 +328,12 @@ func runGoldenDecision(t *testing.T, tc goldenDecision) goldenResult {
 			res.pred, found = *line.Pred, true
 		}
 	}
+	if tc.noPred {
+		if found {
+			t.Fatalf("unevaluated %s@%d wrote a prediction record %+v", tc.job, tc.epoch, res.pred)
+		}
+		return res
+	}
 	if !found {
 		t.Fatalf("no prediction record for %s@%d in the quality audit", tc.job, tc.epoch)
 	}
@@ -361,6 +390,9 @@ func checkGolden(t *testing.T, tc goldenDecision, got goldenResult) {
 			got.log.Decision, got.log.Confidence, got.log.ERTSeconds, got.log.Class, got.log.Detail,
 			tc.decision, tc.logConf, tc.logERT, tc.logClass, tc.logDetail)
 	}
+	if tc.noPred {
+		return
+	}
 	p, w := got.pred, tc.pred
 	if p.TMS != got.log.T.UnixMilli() {
 		t.Errorf("prediction t_ms = %d, want the decision time %d", p.TMS, got.log.T.UnixMilli())
@@ -388,7 +420,7 @@ func TestOffBoundaryContinueUnretained(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if _, err := e.jm.Add("j1", param.Config{"x": 1}, 1, 120); err != nil {
+	if _, err := e.addJob("j1", param.Config{"x": 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	reply := make(chan DecisionReply, 1)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"github.com/hyperdrive-ml/hyperdrive/internal/clock"
 	"github.com/hyperdrive-ml/hyperdrive/internal/hypergen"
 	"github.com/hyperdrive-ml/hyperdrive/internal/obs"
+	"github.com/hyperdrive-ml/hyperdrive/internal/param"
 	"github.com/hyperdrive-ml/hyperdrive/internal/policy"
 	"github.com/hyperdrive-ml/hyperdrive/internal/sched"
 	"github.com/hyperdrive-ml/hyperdrive/internal/trace"
@@ -127,6 +127,23 @@ type Result struct {
 	StoppedBy     string                // "target" | "budget" | "exhausted" | "condition" | "canceled"
 }
 
+// ManagedJob is the live loop's record of one configuration: the
+// kernel's job plus what only a live run needs.
+type ManagedJob struct {
+	*sched.Job
+	Snapshot  []byte // latest suspend image (nil if never suspended)
+	SnapEpoch int    // epoch the snapshot was captured at (re-placement trims history here)
+	Busy      int64  // accumulated training nanoseconds
+	Best      float64
+	HasBest   bool
+	// TraceID names the distributed trace every span about this job
+	// joins, minted once at creation ("" when tracing is off).
+	TraceID string
+	// LastSpan is the ID of the most recent retained scheduler span
+	// concerning this job — the parent for the job's next placement.
+	LastSpan string
+}
+
 // Experiment is a live HyperDrive run.
 type Experiment struct {
 	cfg      Config
@@ -135,7 +152,7 @@ type Experiment struct {
 	clk      clock.Clock
 	db       *appstat.DB
 	rm       SlotPool
-	jm       *JobManager
+	book     *sched.Book[*ManagedJob]
 	exec     Executor
 	events   chan Event
 	ownExec  bool
@@ -214,7 +231,7 @@ func New(cfg Config) (*Experiment, error) {
 		spec:     spec,
 		clk:      clk,
 		db:       appstat.NewDB(),
-		jm:       NewJobManager(),
+		book:     sched.NewBook[*ManagedJob](),
 		res:      &Result{},
 		slotJobs: make(map[SlotID]sched.JobID),
 		met:      newExpMetrics(cfg.Obs),
@@ -306,7 +323,7 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 	deadline := e.clk.After(e.cfg.MaxDuration)
 	e.cfg.Policy.AllocateJobs(e)
 	e.refreshGauges()
-	if e.rm.BusyCount() == 0 && e.jm.SuspendedCount() == 0 && e.created == 0 {
+	if e.rm.BusyCount() == 0 && e.book.Suspended() == 0 && e.created == 0 {
 		// On a leased pool an empty first allocation just means the
 		// fair share is currently zero; capacity arrives later via
 		// EvWake. A private pool has no such future, so it is an error.
@@ -374,7 +391,7 @@ func (e *Experiment) drain() {
 			e.drainEvent(ev)
 		case <-timeout:
 			for slot, job := range e.slotJobs {
-				if mj, ok := e.jm.Get(job); ok {
+				if mj, ok := e.book.Get(job); ok {
 					_ = mj.Job.Terminate()
 				}
 				delete(e.slotJobs, slot)
@@ -394,12 +411,14 @@ func (e *Experiment) drainEvent(ev Event) {
 			ev.Reply <- DecisionReply{Decision: sched.Terminate}
 		}
 	case EvExited:
-		if mj, ok := e.jm.Get(ev.Job); ok {
+		if mj, ok := e.book.Get(ev.Job); ok {
 			switch ev.Reason {
 			case ExitCompleted:
 				_ = mj.Job.Complete()
 			case ExitSuspended:
-				_ = mj.Job.Suspend()
+				if mj.Job.Suspend() == nil {
+					e.book.Requeue(mj)
+				}
 			case ExitTerminated, ExitError, ExitLost:
 				_ = mj.Job.Terminate()
 			}
@@ -427,10 +446,10 @@ func (e *Experiment) done() bool {
 	if e.rm.BusyCount() > 0 {
 		return false
 	}
-	if e.jm.SuspendedCount() > 0 {
+	if e.book.Suspended() > 0 {
 		return false
 	}
-	return e.genDone || e.created >= e.cfg.MaxJobs
+	return !e.canCreate()
 }
 
 // handle processes one executor event; returns true to stop.
@@ -441,7 +460,7 @@ func (e *Experiment) handle(ev Event) bool {
 	case EvIterDone:
 		e.handleIterDone(ev)
 	case EvSnapshot:
-		if mj, ok := e.jm.Get(ev.Job); ok {
+		if mj, ok := e.book.Get(ev.Job); ok {
 			mj.Snapshot = ev.Snapshot
 			mj.SnapEpoch = ev.Epoch
 		}
@@ -497,7 +516,7 @@ func (e *Experiment) handleStat(ev Event) bool {
 	}
 	e.met.observeEpoch(ev.Slot, ev.Duration)
 	e.logEvent("stat", ev)
-	if mj, ok := e.jm.Get(ev.Job); ok {
+	if mj, ok := e.book.Get(ev.Job); ok {
 		mj.Job.SetEpoch(ev.Epoch)
 		mj.Busy += int64(ev.Duration)
 		if !mj.HasBest || ev.Metric > mj.Best {
@@ -565,7 +584,7 @@ func (e *Experiment) handleIterDone(ev Event) {
 		// still joins the job's trace as a root so the verdict stays
 		// attributable.
 		parent := ev.Trace
-		mj, haveJob := e.jm.Get(ev.Job)
+		mj, haveJob := e.book.Get(ev.Job)
 		if !parent.Valid() && haveJob {
 			parent = obs.SpanContext{TraceID: mj.TraceID}
 		}
@@ -575,10 +594,12 @@ func (e *Experiment) handleIterDone(ev Event) {
 			mj.LastSpan = spanID
 		}
 		e.emitDecisionTrace(ev, why, decision, sp, lat)
-		e.qual.ObserveDecision(e.clk.Now(), string(ev.Job), ev.Epoch, why, decision)
 	}
 	e.logDecision(ev.Job, ev.Epoch, why, decision, spanID)
 	if why.Evaluated {
+		// Only a verdict the policy reached from an estimate is a
+		// prediction the quality audit can score.
+		e.qual.ObserveDecision(e.clk.Now(), string(ev.Job), ev.Epoch, why, decision)
 		e.publishClassification()
 	}
 	if ev.Reply != nil {
@@ -604,7 +625,7 @@ func (e *Experiment) emitDecisionTrace(ev Event, why *sched.Rationale, d sched.D
 }
 
 func (e *Experiment) handleExited(ev Event) {
-	mj, ok := e.jm.Get(ev.Job)
+	mj, ok := e.book.Get(ev.Job)
 	if !ok {
 		return
 	}
@@ -626,7 +647,7 @@ func (e *Experiment) handleExited(ev Event) {
 		if err := mj.Job.Suspend(); err == nil {
 			e.res.Suspends++
 			e.met.suspends.Inc()
-			e.jm.Requeue(ev.Job)
+			e.book.Requeue(mj)
 		}
 	case ExitError:
 		// Treat like termination but keep the error visible via state.
@@ -643,7 +664,7 @@ func (e *Experiment) handleExited(ev Event) {
 			if err := mj.Job.Suspend(); err == nil {
 				e.res.Replacements++
 				e.met.replacements.Inc()
-				e.jm.Requeue(ev.Job)
+				e.book.Requeue(mj)
 				e.logLifecycle("replace", ev.Job, ev.Slot, "")
 				e.cfg.TraceSink.Instant("scheduler", "job "+string(ev.Job), "re-placed", e.clk.Now(),
 					map[string]interface{}{"lost_slot": string(ev.Slot), "snapshot_epoch": mj.SnapEpoch})
@@ -686,9 +707,7 @@ func (e *Experiment) finish() {
 	// The event log batches appends; drain it so callers reading the
 	// sink after Run returns see every record.
 	e.cfg.EventLog.Flush()
-	jobs := e.jm.All()
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Idx < jobs[j].Idx })
-	for _, mj := range jobs {
+	for _, mj := range e.book.Jobs() {
 		e.res.Jobs = append(e.res.Jobs, JobSummary{
 			ID:         mj.Job.ID,
 			Epochs:     mj.Job.Epoch(),
@@ -733,29 +752,28 @@ func (e *Experiment) IdleSlots() int { return e.rm.IdleCount() }
 // IdleJobs implements policy.Context: suspended jobs plus the
 // configurations the generator can still produce.
 func (e *Experiment) IdleJobs() int {
-	n := e.jm.SuspendedCount()
-	if !e.genDone && e.created < e.cfg.MaxJobs {
+	n := e.book.Suspended()
+	if e.canCreate() {
 		n += e.cfg.MaxJobs - e.created
 	}
 	return n
 }
 
-// StartIdleJob implements policy.Context: picks between the best
-// suspended job and a fresh configuration (suspended priorities win;
-// FIFO otherwise) and starts it on a reserved slot. It reserves a slot
-// only once it knows there is a job to start: on a shared pool every
-// release wakes the other tenants, so a reserve-then-release with
-// nothing to run would keep idle experiments waking each other.
+// canCreate reports whether the generator may still supply a fresh
+// configuration.
+func (e *Experiment) canCreate() bool {
+	return !e.genDone && e.created < e.cfg.MaxJobs
+}
+
+// StartIdleJob implements policy.Context: the book picks between the
+// best suspended job and a fresh configuration from the generator, and
+// the job starts on a reserved slot. It reserves a slot only once it
+// knows there is a job to start: on a shared pool every release wakes
+// the other tenants, so a reserve-then-release with nothing to run
+// would keep idle experiments waking each other.
 func (e *Experiment) StartIdleJob() (sched.JobID, bool) {
-	suspended, haveSuspended := e.jm.GetIdleJob()
-	// Suspended jobs with explicit priority preempt fresh configs;
-	// unlabelled suspended jobs wait behind the fresh configurations
-	// still in the generator (FIFO by queue-insertion order: fresh
-	// configs were "queued" at experiment start, a suspended job
-	// re-enters at the back).
-	canCreate := !e.genDone && e.created < e.cfg.MaxJobs
-	resume := haveSuspended && (suspended.Job.Priority() > 0 || !canCreate)
-	if !resume && !canCreate {
+	suspended, ok := e.book.Next(e.canCreate())
+	if !ok {
 		return "", false
 	}
 	slot, ok := e.rm.ReserveIdleMachine()
@@ -768,7 +786,7 @@ func (e *Experiment) StartIdleJob() (sched.JobID, bool) {
 			panic(err)
 		}
 	}
-	if resume {
+	if suspended != nil {
 		if err := e.startExisting(suspended, slot); err == nil {
 			return suspended.Job.ID, true
 		}
@@ -782,7 +800,7 @@ func (e *Experiment) StartIdleJob() (sched.JobID, bool) {
 		return "", false
 	}
 	e.created++
-	mj, err := e.jm.Add(sched.JobID(id), cfg9, e.cfg.Seed+int64(e.created), e.info.MaxEpoch)
+	mj, err := e.addJob(sched.JobID(id), cfg9, e.cfg.Seed+int64(e.created))
 	if err != nil {
 		release()
 		return "", false
@@ -806,6 +824,12 @@ func (e *Experiment) StartIdleJob() (sched.JobID, bool) {
 	}
 	e.res.Starts++
 	return mj.Job.ID, true
+}
+
+// addJob enters a fresh configuration into the book.
+func (e *Experiment) addJob(id sched.JobID, cfg param.Config, seed int64) (*ManagedJob, error) {
+	mj := &ManagedJob{Job: sched.NewJob(id, cfg, seed, e.info.MaxEpoch)}
+	return mj, e.book.Add(mj)
 }
 
 // startExisting launches a managed job (fresh or suspended) on a slot.
@@ -860,37 +884,11 @@ func (e *Experiment) startExisting(mj *ManagedJob, slot SlotID) error {
 }
 
 // ActiveJobs implements policy.Context.
-func (e *Experiment) ActiveJobs() []sched.JobID {
-	ids := e.jm.Active()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// JobEpoch implements policy.Context.
-func (e *Experiment) JobEpoch(id sched.JobID) int {
-	if mj, ok := e.jm.Get(id); ok {
-		return mj.Job.Epoch()
-	}
-	return 0
-}
+func (e *Experiment) ActiveJobs() []sched.JobID { return e.book.Active() }
 
 // LabelJob implements policy.Context.
 func (e *Experiment) LabelJob(id sched.JobID, priority float64) {
-	e.jm.LabelJob(id, priority)
-}
-
-// TerminateIdleJob implements policy.Context: terminates a suspended
-// job without involving an executor (it holds no slot).
-func (e *Experiment) TerminateIdleJob(id sched.JobID) bool {
-	mj, ok := e.jm.Get(id)
-	if !ok || mj.Job.State() != sched.Suspended {
-		return false
-	}
-	if err := mj.Job.Terminate(); err != nil {
-		return false
-	}
-	e.res.Terminations++
-	return true
+	e.book.Label(id, priority)
 }
 
 var _ policy.Context = (*Experiment)(nil)

@@ -36,7 +36,7 @@ func TestDecisionPathAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.jm.Add("j1", param.Config{"x": 1}, 1, 100); err != nil {
+	if _, err := e.addJob("j1", param.Config{"x": 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,14 +3,10 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-
-	"github.com/hyperdrive-ml/hyperdrive/internal/param"
-	"github.com/hyperdrive-ml/hyperdrive/internal/sched"
 )
 
 // slotState is one slot's position in the pool state machine. A slot is
-// always in exactly one state; the packed occupancy counters mirror the
+// always in exactly one state; the occupancy counts mirror the
 // partition {idle, busy, offline} with busy-while-quarantined slots
 // counted as busy until their binding is released, so
 // IdleCount+BusyCount+OfflineCount == Total() at every instant.
@@ -29,189 +25,106 @@ const (
 	slotBusyOffline
 )
 
-// Packed occupancy counters: idle | busy<<countBits | offline<<2*countBits,
-// updated with a single atomic add per transition so the partition
-// invariant holds at every load (21 bits per field: up to 2M slots).
-const (
-	countBits = 21
-	countMask = 1<<countBits - 1
-)
-
-// shardTargetSlots is the slot count one shard aims to own. Derived
-// from the pool size only — never from GOMAXPROCS or CPU count — so a
-// replayed op schedule reserves identical slots on any host.
-const (
-	shardTargetSlots = 64
-	maxShards        = 64
-)
-
-// rmShard owns a contiguous block of the slot pool: its own mutex, the
-// per-slot states, and an intrusive doubly-linked free-list over local
-// indices so reserve, release, and quarantine are all O(1). Contiguous
-// blocks mean one agent's slots land in few shards, so quarantining a
-// failed agent touches a handful of locks instead of all of them.
-type rmShard struct {
-	mu    sync.Mutex
-	base  int32 // global index of local slot 0
-	state []slotState
-	// Free-list links over local indices; -1 terminates. Insertion at
-	// the tail and removal at the head preserve the single-lock seed's
-	// FIFO rotation (a released slot waits behind everything idle).
-	next, prev []int32
-	head, tail int32
-	// nfree lets ReserveIdleMachine skip exhausted shards without
-	// taking their locks.
-	nfree atomic.Int32
-}
-
 // ResourceManager tracks allocated and idle slots — the paper's RM
 // component with its two-call API (§4.2):
 //
 //	reserveIdleMachine() -> machineId
 //	releaseMachine(machineId)
 //
-// The pool is sharded: each contiguous block of slots has its own
-// mutex and free-list, so thousands of concurrent reserve/release/
-// quarantine calls do not serialize on one lock, and every operation
-// is O(1) in the pool size. Slots belonging to an unreachable agent
-// are quarantined (offline): neither idle nor busy, invisible to
-// ReserveIdleMachine until MarkOnline restores them.
+// Every operation is O(1) in the pool size: idle slots sit on an
+// intrusive doubly-linked FIFO free list, so reserve pops its head,
+// release appends at its tail (a released slot waits behind everything
+// idle), and quarantine unlinks a slot in place. Slots belonging to an
+// unreachable agent are quarantined (offline): neither idle nor busy,
+// invisible to ReserveIdleMachine until MarkOnline restores them.
+//
+// One mutex guards the pool. Its mutating callers are already
+// serialised — an experiment touches its private pool only from its
+// event loop, and hyperdrived's leases reserve and release under the
+// broker's mutex — so the lock sees little contention.
 type ResourceManager struct {
-	slots  []SlotID         // immutable after construction
-	index  map[SlotID]int32 // immutable: slot -> global index
-	shards []rmShard
-	stride int32         // slots per shard block (last shard may be short)
-	counts atomic.Uint64 // packed idle|busy|offline occupancy
-	rotor  atomic.Uint32 // reserve probe start, round-robins shards
+	slots []SlotID         // immutable after construction
+	index map[SlotID]int32 // immutable: slot -> index
+
+	mu    sync.Mutex
+	state []slotState
+	// Free-list links over slot indices; -1 terminates.
+	next, prev          []int32
+	head, tail          int32
+	idle, busy, offline int
 }
 
 // NewResourceManager builds an RM over the given slots, all idle.
 func NewResourceManager(slots []SlotID) *ResourceManager {
-	total := len(slots)
-	n := (total + shardTargetSlots - 1) / shardTargetSlots
-	if n < 1 {
-		n = 1
-	}
-	if n > maxShards {
-		n = maxShards
-	}
+	n := len(slots)
 	rm := &ResourceManager{
-		slots:  append([]SlotID(nil), slots...),
-		index:  make(map[SlotID]int32, total),
-		shards: make([]rmShard, n),
+		slots: append([]SlotID(nil), slots...),
+		index: make(map[SlotID]int32, n),
+		state: make([]slotState, n),
+		next:  make([]int32, n),
+		prev:  make([]int32, n),
+		head:  -1,
+		tail:  -1,
+		idle:  n,
 	}
 	for i, s := range rm.slots {
 		rm.index[s] = int32(i)
+		rm.pushBack(int32(i))
 	}
-	// Contiguous block partition: shard k owns [k*per, min((k+1)*per, total)).
-	per := (total + n - 1) / n
-	if per < 1 {
-		per = 1
-	}
-	rm.stride = int32(per)
-	for k := range rm.shards {
-		lo := k * per
-		hi := lo + per
-		if lo > total {
-			lo = total
-		}
-		if hi > total {
-			hi = total
-		}
-		sh := &rm.shards[k]
-		sh.base = int32(lo)
-		sh.state = make([]slotState, hi-lo)
-		sh.next = make([]int32, hi-lo)
-		sh.prev = make([]int32, hi-lo)
-		sh.head, sh.tail = -1, -1
-		for i := 0; i < hi-lo; i++ {
-			sh.pushBack(int32(i))
-		}
-		sh.nfree.Store(int32(hi - lo))
-	}
-	rm.counts.Store(uint64(total)) // all idle
 	return rm
-}
-
-// shardOf maps a global slot index to its shard and local index.
-func (rm *ResourceManager) shardOf(gi int32) (*rmShard, int32) {
-	sh := &rm.shards[gi/rm.stride]
-	return sh, gi - sh.base
-}
-
-// addCounts applies one occupancy transition as a single atomic add
-// (modular arithmetic makes negative field deltas borrow correctly as
-// long as no field ever goes below zero, which the state machine
-// guarantees), so idle+busy+offline == Total() holds at every load.
-func (rm *ResourceManager) addCounts(idle, busy, offline int64) {
-	rm.counts.Add(uint64(idle) + uint64(busy)<<countBits + uint64(offline)<<(2*countBits))
 }
 
 // Counts returns one consistent occupancy snapshot: slots idle, slots
 // carrying a live job binding (including quarantined-but-busy ones),
 // and quarantined slots with no binding. The three always sum to
-// Total(), even mid-flight under concurrent mutation.
+// Total().
 func (rm *ResourceManager) Counts() (idle, busy, offline int) {
-	v := rm.counts.Load()
-	return int(v & countMask), int(v >> countBits & countMask), int(v >> (2 * countBits) & countMask)
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	return rm.idle, rm.busy, rm.offline
 }
 
-// ReserveIdleMachine claims an idle slot in O(1): probe shards from a
-// rotating start position, pop the first free-list head found.
+// ReserveIdleMachine claims the longest-idle slot.
 func (rm *ResourceManager) ReserveIdleMachine() (SlotID, bool) {
-	n := uint32(len(rm.shards))
-	start := rm.rotor.Add(1) - 1
-	for i := uint32(0); i < n; i++ {
-		sh := &rm.shards[(start+i)%n]
-		if sh.nfree.Load() == 0 {
-			continue
-		}
-		sh.mu.Lock()
-		li := sh.popFront()
-		if li < 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		sh.state[li] = slotBusy
-		sh.nfree.Add(-1)
-		sh.mu.Unlock()
-		rm.addCounts(-1, +1, 0)
-		return rm.slots[sh.base+li], true
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	i := rm.head
+	if i < 0 {
+		return "", false
 	}
-	return "", false
+	rm.remove(i)
+	rm.state[i] = slotBusy
+	rm.idle--
+	rm.busy++
+	return rm.slots[i], true
 }
 
 // ReleaseMachine returns a slot to the idle pool. Releasing a
 // quarantined slot is a no-op success: the job-loss path frees its
 // binding, but the slot stays offline until MarkOnline.
 func (rm *ResourceManager) ReleaseMachine(s SlotID) error {
-	gi, ok := rm.index[s]
+	i, ok := rm.index[s]
 	if !ok {
 		return fmt.Errorf("cluster: release of unknown slot %s", s)
 	}
-	sh, li := rm.shardOf(gi)
-	sh.mu.Lock()
-	switch sh.state[li] {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	switch rm.state[i] {
 	case slotBusy:
-		sh.state[li] = slotIdle
-		sh.pushBack(li)
-		sh.nfree.Add(1)
-		sh.mu.Unlock()
-		rm.addCounts(+1, -1, 0)
-		return nil
+		rm.state[i] = slotIdle
+		rm.pushBack(i)
+		rm.busy--
+		rm.idle++
 	case slotBusyOffline:
-		sh.state[li] = slotOffline
-		sh.mu.Unlock()
-		rm.addCounts(0, -1, +1)
-		return nil
+		rm.state[i] = slotOffline
+		rm.busy--
+		rm.offline++
 	case slotOffline:
 		// Binding already gone; stay quarantined.
-		sh.mu.Unlock()
-		return nil
 	default: // slotIdle
-		sh.mu.Unlock()
 		return fmt.Errorf("cluster: release of non-busy slot %s", s)
 	}
+	return nil
 }
 
 // MarkOffline quarantines slots: idle ones leave the free list, busy
@@ -219,26 +132,23 @@ func (rm *ResourceManager) ReleaseMachine(s SlotID) error {
 // quarantine rather than back to idle). Unknown slots are ignored —
 // quarantining must never grow the pool.
 func (rm *ResourceManager) MarkOffline(slots []SlotID) {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
 	for _, s := range slots {
-		gi, ok := rm.index[s]
+		i, ok := rm.index[s]
 		if !ok {
 			continue
 		}
-		sh, li := rm.shardOf(gi)
-		sh.mu.Lock()
-		switch sh.state[li] {
+		switch rm.state[i] {
 		case slotIdle:
-			sh.remove(li)
-			sh.state[li] = slotOffline
-			sh.nfree.Add(-1)
-			sh.mu.Unlock()
-			rm.addCounts(-1, 0, +1)
+			rm.remove(i)
+			rm.state[i] = slotOffline
+			rm.idle--
+			rm.offline++
 		case slotBusy:
 			// Still counts as busy: the binding is live until released.
-			sh.state[li] = slotBusyOffline
-			sh.mu.Unlock()
+			rm.state[i] = slotBusyOffline
 		default: // already quarantined
-			sh.mu.Unlock()
 		}
 	}
 }
@@ -246,25 +156,22 @@ func (rm *ResourceManager) MarkOffline(slots []SlotID) {
 // MarkOnline restores quarantined slots to the idle pool. Slots still
 // carrying a busy binding (release hasn't happened yet) stay busy.
 func (rm *ResourceManager) MarkOnline(slots []SlotID) {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
 	for _, s := range slots {
-		gi, ok := rm.index[s]
+		i, ok := rm.index[s]
 		if !ok {
 			continue
 		}
-		sh, li := rm.shardOf(gi)
-		sh.mu.Lock()
-		switch sh.state[li] {
+		switch rm.state[i] {
 		case slotOffline:
-			sh.state[li] = slotIdle
-			sh.pushBack(li)
-			sh.nfree.Add(1)
-			sh.mu.Unlock()
-			rm.addCounts(+1, 0, -1)
+			rm.state[i] = slotIdle
+			rm.pushBack(i)
+			rm.offline--
+			rm.idle++
 		case slotBusyOffline:
-			sh.state[li] = slotBusy
-			sh.mu.Unlock()
+			rm.state[i] = slotBusy
 		default: // not quarantined
-			sh.mu.Unlock()
 		}
 	}
 }
@@ -293,189 +200,31 @@ func (rm *ResourceManager) OfflineCount() int {
 // Total reports the pool size: every slot, whatever its state.
 func (rm *ResourceManager) Total() int { return len(rm.slots) }
 
-// Shards reports how many lock shards partition the pool (size-derived,
-// host-independent).
-func (rm *ResourceManager) Shards() int { return len(rm.shards) }
+// --- intrusive free list (callers hold rm.mu) -------------------------
 
-// --- intrusive free-list (callers hold sh.mu) -------------------------
-
-// pushBack appends a local index at the free-list tail.
-func (sh *rmShard) pushBack(li int32) {
-	sh.next[li] = -1
-	sh.prev[li] = sh.tail
-	if sh.tail >= 0 {
-		sh.next[sh.tail] = li
+// pushBack appends a slot index at the free-list tail.
+func (rm *ResourceManager) pushBack(i int32) {
+	rm.next[i] = -1
+	rm.prev[i] = rm.tail
+	if rm.tail >= 0 {
+		rm.next[rm.tail] = i
 	} else {
-		sh.head = li
+		rm.head = i
 	}
-	sh.tail = li
+	rm.tail = i
 }
 
-// popFront removes and returns the free-list head (-1 when empty).
-func (sh *rmShard) popFront() int32 {
-	li := sh.head
-	if li < 0 {
-		return -1
-	}
-	sh.remove(li)
-	return li
-}
-
-// remove unlinks a local index from anywhere in the free-list.
-func (sh *rmShard) remove(li int32) {
-	if sh.prev[li] >= 0 {
-		sh.next[sh.prev[li]] = sh.next[li]
+// remove unlinks a slot index from anywhere in the free list.
+func (rm *ResourceManager) remove(i int32) {
+	if rm.prev[i] >= 0 {
+		rm.next[rm.prev[i]] = rm.next[i]
 	} else {
-		sh.head = sh.next[li]
+		rm.head = rm.next[i]
 	}
-	if sh.next[li] >= 0 {
-		sh.prev[sh.next[li]] = sh.prev[li]
+	if rm.next[i] >= 0 {
+		rm.prev[rm.next[i]] = rm.prev[i]
 	} else {
-		sh.tail = sh.prev[li]
+		rm.tail = rm.prev[i]
 	}
-	sh.next[li], sh.prev[li] = -1, -1
-}
-
-// ManagedJob is the Job Manager's record for one configuration.
-type ManagedJob struct {
-	Job       *sched.Job
-	Config    param.Config
-	Seed      int64
-	Idx       int    // creation order
-	QueueSeq  int    // idle-queue insertion order (suspends re-enqueue at the back)
-	Snapshot  []byte // latest suspend image (nil if never suspended)
-	SnapEpoch int    // epoch the snapshot was captured at (re-placement trims history here)
-	Busy      int64  // accumulated training nanoseconds
-	Best      float64
-	HasBest   bool
-	// TraceID names the distributed trace every span about this job
-	// joins, minted once at creation ("" when tracing is off).
-	TraceID string
-	// LastSpan is the ID of the most recent retained scheduler span
-	// concerning this job — the parent for the job's next placement.
-	LastSpan string
-}
-
-// JobManager keeps the job table and the priority-ordered idle queue —
-// the paper's JM (§4.2) with start/resume/suspend/terminate tracked on
-// each job's state machine and labelJob priorities ordering idle jobs.
-type JobManager struct {
-	mu   sync.Mutex
-	jobs map[sched.JobID]*ManagedJob
-	next int
-}
-
-// NewJobManager returns an empty JM.
-func NewJobManager() *JobManager {
-	return &JobManager{jobs: make(map[sched.JobID]*ManagedJob)}
-}
-
-// Add registers a new pending job.
-func (jm *JobManager) Add(id sched.JobID, cfg param.Config, seed int64, maxEpoch int) (*ManagedJob, error) {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	if _, dup := jm.jobs[id]; dup {
-		return nil, fmt.Errorf("cluster: duplicate job %s", id)
-	}
-	mj := &ManagedJob{
-		Job:      sched.NewJob(id, cfg, seed, maxEpoch),
-		Config:   cfg,
-		Seed:     seed,
-		Idx:      jm.next,
-		QueueSeq: jm.next,
-	}
-	jm.next++
-	jm.jobs[id] = mj
-	return mj, nil
-}
-
-// Get looks up a job.
-func (jm *JobManager) Get(id sched.JobID) (*ManagedJob, bool) {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	mj, ok := jm.jobs[id]
-	return mj, ok
-}
-
-// GetIdleJob implements the JM's getIdleJob(): the suspended job with
-// the highest priority, FIFO by idle-queue insertion order on ties
-// (§4.2 — a just-suspended unlabelled job waits behind everything
-// already queued, which is what rotates the opportunistic pool).
-func (jm *JobManager) GetIdleJob() (*ManagedJob, bool) {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	var best *ManagedJob
-	for _, mj := range jm.jobs {
-		if mj.Job.State() != sched.Suspended {
-			continue
-		}
-		if best == nil {
-			best = mj
-			continue
-		}
-		pi, pb := mj.Job.Priority(), best.Job.Priority()
-		//hdlint:ignore floateq an exact priority tie deliberately falls back to FIFO order; a tolerance would make rotation order depend on its width
-		if pi > pb || (pi == pb && mj.QueueSeq < best.QueueSeq) {
-			best = mj
-		}
-	}
-	return best, best != nil
-}
-
-// Requeue marks a job's return to the idle queue, sending it behind
-// every job queued so far.
-func (jm *JobManager) Requeue(id sched.JobID) {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	if mj, ok := jm.jobs[id]; ok {
-		mj.QueueSeq = jm.next
-		jm.next++
-	}
-}
-
-// LabelJob implements labelJob(jobID, priority).
-func (jm *JobManager) LabelJob(id sched.JobID, priority float64) {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	if mj, ok := jm.jobs[id]; ok {
-		mj.Job.SetPriority(priority)
-	}
-}
-
-// SuspendedCount reports idle (suspended) jobs.
-func (jm *JobManager) SuspendedCount() int {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	n := 0
-	for _, mj := range jm.jobs {
-		if mj.Job.State() == sched.Suspended {
-			n++
-		}
-	}
-	return n
-}
-
-// Active lists running and suspended jobs.
-func (jm *JobManager) Active() []sched.JobID {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	var out []sched.JobID
-	for id, mj := range jm.jobs {
-		st := mj.Job.State()
-		if st == sched.Running || st == sched.Suspended {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// All returns every managed job.
-func (jm *JobManager) All() []*ManagedJob {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	out := make([]*ManagedJob, 0, len(jm.jobs))
-	for _, mj := range jm.jobs {
-		out = append(out, mj)
-	}
-	return out
+	rm.next[i], rm.prev[i] = -1, -1
 }

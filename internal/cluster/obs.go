@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"sort"
 	"time"
 
 	"github.com/hyperdrive-ml/hyperdrive/internal/core"
@@ -133,9 +132,8 @@ func (e *Experiment) refreshGauges() {
 	e.met.slotsTotal.Set(float64(e.rm.Total()))
 	e.met.slotsBusy.Set(float64(e.rm.BusyCount()))
 	e.met.slotsOffline.Set(float64(e.rm.OfflineCount()))
-	suspended := e.jm.SuspendedCount()
-	e.met.jobsSuspended.Set(float64(suspended))
-	e.met.jobsActive.Set(float64(len(e.jm.Active())))
+	e.met.jobsSuspended.Set(float64(e.book.Suspended()))
+	e.met.jobsActive.Set(float64(e.book.ActiveCount()))
 }
 
 // publishClassification snapshots POP's current slot division and the
@@ -154,8 +152,7 @@ func (e *Experiment) publishClassification() {
 		a := e.pop.Allocation(e)
 		alloc, ests = &a, e.pop.Estimates()
 	}
-	jobs := e.jm.All()
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Idx < jobs[j].Idx })
+	jobs := e.book.Jobs()
 	states := make([]obs.JobState, len(jobs))
 	for i, mj := range jobs {
 		states[i] = obs.JobState{Job: mj.Job, Best: mj.Best}

@@ -156,7 +156,7 @@ func TestTraceEndToEndAcrossFailure(t *testing.T) {
 		}
 	}
 
-	mj, ok := e.jm.Get("job-000")
+	mj, ok := e.book.Get("job-000")
 	if !ok {
 		t.Fatal("job-000 not in the job table")
 	}

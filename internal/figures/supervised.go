@@ -142,15 +142,16 @@ func Fig2b(o Options) (*Report, error) {
 		Title:  "overtaking configurations A and B",
 		Header: []string{"config", "epoch", "accuracy"},
 	}
-	for name, pair := range map[string]struct {
+	for _, c := range []struct {
+		name string
 		cfg  param.Config
 		seed int64
-	}{"A": {cfgA, seedA}, "B": {cfgB, seedB}} {
-		tr := spec.New(pair.cfg, pair.seed)
+	}{{"A", cfgA, seedA}, {"B", cfgB, seedB}} {
+		tr := spec.New(c.cfg, c.seed)
 		for {
 			s, done := tr.Step()
 			if s.Epoch%4 == 0 || s.Epoch == 1 || done {
-				rep.AddRow(name, s.Epoch, s.Metric)
+				rep.AddRow(c.name, s.Epoch, s.Metric)
 			}
 			if done {
 				break

@@ -76,17 +76,9 @@ type Context interface {
 	StartIdleJob() (sched.JobID, bool)
 	// ActiveJobs lists jobs that are running or suspended.
 	ActiveJobs() []sched.JobID
-	// JobEpoch reports a job's completed epochs.
-	JobEpoch(id sched.JobID) int
 	// LabelJob implements the Job Manager's labelJob(jobID, priority)
 	// (§4.2): priorities order the idle queue.
 	LabelJob(id sched.JobID, priority float64)
-	// TerminateIdleJob terminates a suspended (not currently running)
-	// job — the Job Manager's terminateJob for jobs off-machine. It
-	// returns false when the job is unknown or not suspended. Policies
-	// that make round-based eliminations (e.g., successive halving)
-	// use it to cut losers at round barriers.
-	TerminateIdleJob(id sched.JobID) bool
 }
 
 // Policy is a Scheduling Algorithm Policy: the three up-calls of §4.2.

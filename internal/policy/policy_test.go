@@ -41,18 +41,8 @@ func (f *fakeCtx) IdleJobs() int    { return len(f.startQueue) }
 func (f *fakeCtx) ActiveJobs() []sched.JobID {
 	return append([]sched.JobID(nil), f.active...)
 }
-func (f *fakeCtx) JobEpoch(id sched.JobID) int { return f.db.LastEpoch(id) }
 func (f *fakeCtx) LabelJob(id sched.JobID, p float64) {
 	f.labels[id] = p
-}
-func (f *fakeCtx) TerminateIdleJob(id sched.JobID) bool {
-	for i, a := range f.active {
-		if a == id {
-			f.active = append(f.active[:i], f.active[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 func (f *fakeCtx) StartIdleJob() (sched.JobID, bool) {
 	if f.idleSlots == 0 || len(f.startQueue) == 0 {

@@ -70,7 +70,7 @@ func (e *TransitionError) Error() string {
 // Job is one configuration's training job. All methods are safe for
 // concurrent use. State, epoch, and priority reads are lock-free
 // atomic loads — they sit on the scheduler's decision hot path (every
-// GetIdleJob scan reads all three for every idle job) — while the
+// Book.Next scan reads state and priority for every idle job) — while the
 // transition methods serialize on a mutex so check-then-set stays
 // race-free.
 type Job struct {

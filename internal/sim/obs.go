@@ -126,10 +126,8 @@ func (e *engine) refreshGauges() {
 	e.met.flush()
 	e.met.slotsTotal.Set(float64(e.opts.Machines))
 	e.met.slotsBusy.Set(float64(len(e.running)))
-	e.met.jobsSuspended.Set(float64(len(e.idleQ)))
-	// Active = running + suspended; the idle queue holds exactly the
-	// suspended jobs (never-started ones sit in e.pending).
-	e.met.jobsActive.Set(float64(len(e.running) + len(e.idleQ)))
+	e.met.jobsSuspended.Set(float64(e.book.Suspended()))
+	e.met.jobsActive.Set(float64(e.book.ActiveCount()))
 }
 
 // observeDecision wraps one OnIterationFinish, mirroring the live
@@ -192,9 +190,10 @@ func (e *engine) publishClassification() {
 		a := e.pop.Allocation(e)
 		alloc, ests = &a, e.pop.Estimates()
 	}
-	states := make([]obs.JobState, len(e.jobs))
-	for i, j := range e.jobs {
-		states[i] = obs.JobState{Job: j.job, Best: j.best}
+	jobs := e.book.Jobs()
+	states := make([]obs.JobState, len(jobs))
+	for i, j := range jobs {
+		states[i] = obs.JobState{Job: j.Job, Best: j.best}
 	}
 	now := e.start.Add(e.now)
 	e.classes.Publish(now, e.opts.Machines, alloc, ests, states, func(row obs.JobRow) {

@@ -32,9 +32,9 @@ func (e *engine) setupQuality() {
 		MaxEpoch: e.info.MaxEpoch,
 		Source:   "sim",
 	})
-	for _, j := range e.jobs {
+	for _, j := range e.book.Jobs() {
 		o := obs.OracleRecord{
-			Job:        string(j.id),
+			Job:        string(j.ID),
 			CumSeconds: make([]float64, len(j.samples)),
 		}
 		var cum float64
@@ -68,14 +68,14 @@ func (e *engine) recordQualityOutcomes() {
 	if q == nil {
 		return
 	}
-	for _, j := range e.jobs {
+	for _, j := range e.book.Jobs() {
 		out := obs.OutcomeRecord{
-			Job:        string(j.id),
-			FinalState: j.job.State().String(),
-			Epochs:     j.epoch,
+			Job:        string(j.ID),
+			FinalState: j.State().String(),
+			Epochs:     j.Epoch(),
 			Best:       e.info.Normalize(j.best),
 		}
-		for i := 0; i < j.epoch && i < len(j.samples); i++ {
+		for i := 0; i < out.Epochs && i < len(j.samples); i++ {
 			if j.samples[i].Metric >= e.info.Target {
 				out.Reached = true
 				out.ReachEpoch = i + 1

@@ -156,17 +156,13 @@ func (r *Result) JobDurations() []float64 {
 	return out
 }
 
-// simJob is the engine's view of one trace job.
+// simJob is the engine's record of one trace job: the kernel's job
+// (state, completed epochs, priority) plus what only the replay needs.
 type simJob struct {
-	idx      int // position in trace (original exploration order)
-	seq      int // idle-queue insertion order (suspends re-enqueue at the back)
-	id       sched.JobID
-	job      *sched.Job
+	*sched.Job
 	samples  []trace.Sample
-	epoch    int // completed epochs
 	busy     time.Duration
 	best     float64
-	started  bool
 	segStart time.Duration // current occupancy segment start
 	machine  int
 }
@@ -203,21 +199,20 @@ func (h *eventHeap) Pop() interface{} {
 // engine is the running simulation state; it implements
 // policy.Context.
 type engine struct {
-	opts    Options
-	info    policy.Info
-	db      *appstat.DB
-	now     time.Duration
-	start   time.Time
-	jobs    []*simJob
-	byID    map[sched.JobID]*simJob
-	pending []*simJob // never started, FIFO
-	idleQ   []*simJob // suspended, priority-ordered on pop
+	opts  Options
+	info  policy.Info
+	db    *appstat.DB
+	now   time.Duration
+	start time.Time
+	// book holds every trace job in trace order; next is the trace
+	// cursor, the index of the first job never started.
+	book    *sched.Book[*simJob]
+	next    int
 	running map[int]*simJob
 	freeM   []int                 // idle machines
 	availAt map[int]time.Duration // per-machine earliest next start (suspend/prediction overhead)
 	events  eventHeap
 	seq     int
-	fifoSeq int // next idle-queue insertion sequence
 	res     *Result
 	lastFit int
 	stopAt  float64
@@ -267,7 +262,7 @@ func Run(opts Options) (*Result, error) {
 		opts:    opts,
 		db:      appstat.NewDB(),
 		start:   simEpoch,
-		byID:    make(map[sched.JobID]*simJob),
+		book:    sched.NewBook[*simJob](),
 		running: make(map[int]*simJob),
 		res:     &Result{},
 		info: policy.Info{
@@ -299,20 +294,15 @@ func Run(opts Options) (*Result, error) {
 	if opts.MaxJobs > 0 && opts.MaxJobs < nJobs {
 		nJobs = opts.MaxJobs
 	}
-	for i := 0; i < nJobs; i++ {
-		tj := tr.Jobs[i]
+	for _, tj := range tr.Jobs[:nJobs] {
 		sj := &simJob{
-			idx:     i,
-			seq:     i, // fresh jobs enter the idle queue in trace order
-			id:      sched.JobID(tj.ID),
-			job:     sched.NewJob(sched.JobID(tj.ID), tj.Config, tj.Seed, len(tj.Samples)),
+			Job:     sched.NewJob(sched.JobID(tj.ID), tj.Config, tj.Seed, len(tj.Samples)),
 			samples: tj.Samples,
 		}
-		e.jobs = append(e.jobs, sj)
-		e.byID[sj.id] = sj
-		e.pending = append(e.pending, sj)
+		if err := e.book.Add(sj); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
 	}
-	e.fifoSeq = nJobs
 	e.availAt = make(map[int]time.Duration, opts.Machines)
 	for m := 0; m < opts.Machines; m++ {
 		e.freeM = append(e.freeM, m)
@@ -352,14 +342,14 @@ func (e *engine) run() {
 // the experiment should stop.
 func (e *engine) handleEpochFinish(ev *event) bool {
 	j := ev.job
-	j.epoch++
-	s := j.samples[j.epoch-1]
+	epoch := j.Epoch() + 1
+	j.SetEpoch(epoch)
+	s := j.samples[epoch-1]
 	j.busy += s.Duration()
-	j.job.SetEpoch(j.epoch)
-	if s.Metric > j.best || j.epoch == 1 {
+	if s.Metric > j.best || epoch == 1 {
 		j.best = s.Metric
 	}
-	e.db.Report(j.id, appstat.Stat{
+	e.db.Report(j.ID, appstat.Stat{
 		Epoch:    s.Epoch,
 		Metric:   s.Metric,
 		Duration: s.Duration(),
@@ -368,8 +358,8 @@ func (e *engine) handleEpochFinish(ev *event) bool {
 	e.met.recordEpoch(s.Duration().Seconds())
 
 	sev := sched.Event{
-		Job:      j.id,
-		Epoch:    j.epoch,
+		Job:      j.ID,
+		Epoch:    epoch,
 		Metric:   s.Metric,
 		Duration: s.Duration(),
 		Time:     e.start.Add(e.now),
@@ -384,16 +374,16 @@ func (e *engine) handleEpochFinish(ev *event) bool {
 		e.res.Reached = true
 		e.res.TimeToTarget = e.now
 		e.traceMark(ev.machine, "target reached",
-			map[string]interface{}{"job": string(j.id), "metric": s.Metric})
+			map[string]interface{}{"job": string(j.ID), "metric": s.Metric})
 		return true
 	}
 
 	// Job finished its budget?
-	if j.epoch >= len(j.samples) {
-		if err := j.job.Complete(); err == nil {
+	if epoch >= len(j.samples) {
+		if err := j.Complete(); err == nil {
 			e.res.Completions++
 			e.met.completions++
-			e.traceMark(ev.machine, "complete "+string(j.id),
+			e.traceMark(ev.machine, "complete "+string(j.ID),
 				map[string]interface{}{"best": j.best})
 		}
 		e.closeSegment(j)
@@ -432,11 +422,11 @@ func (e *engine) handleEpochFinish(ev *event) bool {
 				e.opts.CheckpointAccounting.Observe(checkpoint.Record{Size: img.Size, Latency: img.Latency})
 			}
 		}
-		if err := j.job.Suspend(); err == nil {
+		if err := j.Suspend(); err == nil {
 			e.res.Suspends++
 			e.met.suspends++
-			e.enqueueIdle(j)
-			e.traceMark(ev.machine, "suspend "+string(j.id),
+			e.book.Requeue(j)
+			e.traceMark(ev.machine, "suspend "+string(j.ID),
 				map[string]interface{}{"overhead_us": overhead.Microseconds()})
 		}
 		e.closeSegment(j)
@@ -444,11 +434,11 @@ func (e *engine) handleEpochFinish(ev *event) bool {
 		pol.AllocateJobs(e)
 		e.refreshGauges()
 	case sched.Terminate:
-		if err := j.job.Terminate(); err == nil {
+		if err := j.Terminate(); err == nil {
 			e.res.Terminations++
 			e.met.terminations++
-			e.traceMark(ev.machine, "terminate "+string(j.id),
-				map[string]interface{}{"epoch": j.epoch, "best": j.best})
+			e.traceMark(ev.machine, "terminate "+string(j.ID),
+				map[string]interface{}{"epoch": epoch, "best": j.best})
 		}
 		e.closeSegment(j)
 		e.freeMachine(ev.machine, predDelay)
@@ -465,9 +455,9 @@ func (e *engine) handleEpochFinish(ev *event) bool {
 func (e *engine) updateBest(j *simJob, metric float64) bool {
 	if metric > e.res.Best || e.res.BestJob == "" {
 		e.res.Best = metric
-		e.res.BestJob = string(j.id)
+		e.res.BestJob = string(j.ID)
 		e.met.best.Set(metric)
-		e.qual.RecordBest(e.start.Add(e.now), string(j.id), e.info.Normalize(metric))
+		e.qual.RecordBest(e.start.Add(e.now), string(j.ID), e.info.Normalize(metric))
 	}
 	return metric >= e.stopAt
 }
@@ -484,7 +474,7 @@ func (e *engine) scheduleEpoch(m int, j *simJob, extraDelay time.Duration) {
 		j.segStart = startT + extraDelay
 		j.machine = m
 	}
-	next := j.samples[j.epoch] // duration of the upcoming epoch
+	next := j.samples[j.Epoch()] // duration of the upcoming epoch
 	e.seq++
 	heap.Push(&e.events, &event{
 		t:       startT + extraDelay + next.Duration(),
@@ -501,11 +491,11 @@ func (e *engine) scheduleEpoch(m int, j *simJob, extraDelay time.Duration) {
 func (e *engine) closeSegment(j *simJob) {
 	if e.now > j.segStart {
 		e.res.Segments = append(e.res.Segments, Segment{
-			Job: string(j.id), Machine: j.machine, Start: j.segStart, End: e.now,
+			Job: string(j.ID), Machine: j.machine, Start: j.segStart, End: e.now,
 		})
-		e.opts.TraceSink.Complete("sim", fmt.Sprintf("m%d", j.machine), string(j.id),
+		e.opts.TraceSink.Complete("sim", fmt.Sprintf("m%d", j.machine), string(j.ID),
 			e.start.Add(j.segStart), e.now-j.segStart,
-			map[string]interface{}{"epoch": j.epoch, "best": j.best})
+			map[string]interface{}{"epoch": j.Epoch(), "best": j.best})
 	}
 	j.segStart = e.now
 }
@@ -524,64 +514,13 @@ func (e *engine) freeMachine(m int, overhead time.Duration) {
 	e.freeM = append(e.freeM, m)
 }
 
-// enqueueIdle adds a suspended job to the back of the idle queue
-// (§4.2: priority ordering matters most "when adding a suspended job
-// to the list of idle jobs"; without a priority the queue is FIFO by
-// insertion, so a just-suspended job waits behind everything already
-// queued — that is what makes the opportunistic pool a round-robin).
-func (e *engine) enqueueIdle(j *simJob) {
-	j.seq = e.fifoSeq
-	e.fifoSeq++
-	e.idleQ = append(e.idleQ, j)
-}
-
-// nextIdle pops the best idle job: highest priority first, then FIFO
-// by queue-insertion order across the union of never-started and
-// suspended jobs.
-func (e *engine) nextIdle() (*simJob, bool) {
-	bestIdx := -1
-	for i, j := range e.idleQ {
-		if bestIdx == -1 {
-			bestIdx = i
-			continue
-		}
-		b := e.idleQ[bestIdx]
-		ji, jb := j.job.Priority(), b.job.Priority()
-		//hdlint:ignore floateq an exact priority tie deliberately falls back to FIFO order; a tolerance would make rotation order depend on its width
-		if ji > jb || (ji == jb && j.seq < b.seq) {
-			bestIdx = i
-		}
-	}
-	var suspended *simJob
-	if bestIdx >= 0 {
-		suspended = e.idleQ[bestIdx]
-	}
-	var pending *simJob
-	if len(e.pending) > 0 {
-		pending = e.pending[0]
-	}
-	switch {
-	case suspended == nil && pending == nil:
-		return nil, false
-	case suspended == nil:
-		e.pending = e.pending[1:]
-		return pending, true
-	case pending == nil || suspended.job.Priority() > 0 || suspended.seq < pending.seq:
-		e.idleQ = append(e.idleQ[:bestIdx], e.idleQ[bestIdx+1:]...)
-		return suspended, true
-	default:
-		e.pending = e.pending[1:]
-		return pending, true
-	}
-}
-
 // sampleRatio records POP's promising/active ratio (Figure 4c).
 func (e *engine) sampleRatio() {
 	if e.pop == nil {
 		return
 	}
 	alloc := e.pop.Allocation(e)
-	active := len(e.ActiveJobs())
+	active := e.book.ActiveCount()
 	if active == 0 {
 		return
 	}
@@ -607,12 +546,12 @@ func (e *engine) finish() {
 	for _, m := range ms {
 		e.closeSegment(e.running[m])
 	}
-	for _, j := range e.jobs {
+	for _, j := range e.book.Jobs() {
 		e.res.Jobs = append(e.res.Jobs, JobOutcome{
-			ID:         string(j.id),
-			Epochs:     j.epoch,
+			ID:         string(j.ID),
+			Epochs:     j.Epoch(),
 			BusyTime:   j.busy,
-			FinalState: j.job.State(),
+			FinalState: j.State(),
 			Best:       j.best,
 		})
 	}
@@ -630,78 +569,46 @@ func (e *engine) DB() *appstat.DB   { return e.db }
 func (e *engine) Now() time.Time    { return e.start.Add(e.now) }
 func (e *engine) Start() time.Time  { return e.start }
 func (e *engine) IdleSlots() int    { return len(e.freeM) }
-func (e *engine) IdleJobs() int     { return len(e.pending) + len(e.idleQ) }
+func (e *engine) IdleJobs() int     { return e.book.Suspended() + e.fresh() }
+
+// fresh reports how many trace jobs have never started.
+func (e *engine) fresh() int { return len(e.book.Jobs()) - e.next }
 
 func (e *engine) StartIdleJob() (sched.JobID, bool) {
 	if len(e.freeM) == 0 {
 		return "", false
 	}
-	j, ok := e.nextIdle()
+	j, ok := e.book.Next(e.fresh() > 0)
 	if !ok {
 		return "", false
 	}
+	started := j == nil
+	if started {
+		j = e.book.Jobs()[e.next]
+		e.next++
+	}
 	m := e.freeM[0]
 	e.freeM = e.freeM[1:]
-	if err := j.job.Start(sched.MachineID(fmt.Sprintf("m%d", m))); err != nil {
+	if err := j.Start(sched.MachineID(fmt.Sprintf("m%d", m))); err != nil {
 		// Should not happen; drop the job defensively.
 		return "", false
 	}
-	if !j.started {
-		j.started = true
+	if started {
 		e.res.Starts++
 		e.met.starts++
 	}
 	e.scheduleEpoch(m, j, 0)
-	return j.id, true
+	return j.ID, true
 }
 
-func (e *engine) ActiveJobs() []sched.JobID {
-	out := make([]sched.JobID, 0, len(e.jobs))
-	for _, j := range e.jobs {
-		st := j.job.State()
-		if st == sched.Running || st == sched.Suspended {
-			out = append(out, j.id)
-		}
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i] < out[k] })
-	return out
-}
+func (e *engine) ActiveJobs() []sched.JobID { return e.book.Active() }
 
-func (e *engine) JobEpoch(id sched.JobID) int {
-	if j, ok := e.byID[id]; ok {
-		return j.epoch
-	}
-	return 0
-}
-
-func (e *engine) LabelJob(id sched.JobID, p float64) {
-	if j, ok := e.byID[id]; ok {
-		j.job.SetPriority(p)
-	}
-}
-
-func (e *engine) TerminateIdleJob(id sched.JobID) bool {
-	j, ok := e.byID[id]
-	if !ok || j.job.State() != sched.Suspended {
-		return false
-	}
-	if err := j.job.Terminate(); err != nil {
-		return false
-	}
-	for i, q := range e.idleQ {
-		if q == j {
-			e.idleQ = append(e.idleQ[:i], e.idleQ[i+1:]...)
-			break
-		}
-	}
-	e.res.Terminations++
-	return true
-}
+func (e *engine) LabelJob(id sched.JobID, p float64) { e.book.Label(id, p) }
 
 var _ policy.Context = (*engine)(nil)
 
 // marshalEpoch serializes the job's logical training state (its epoch
 // counter) as the checkpoint payload.
 func marshalEpoch(j *simJob) ([]byte, error) {
-	return []byte(fmt.Sprintf(`{"workload":%q,"epoch":%d}`, "sim", j.epoch)), nil
+	return []byte(fmt.Sprintf(`{"workload":%q,"epoch":%d}`, "sim", j.Epoch())), nil
 }

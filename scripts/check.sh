@@ -81,3 +81,10 @@ echo ">> fuzz smoke (10s per target)"
 make -s fuzz-smoke FUZZTIME=10s >/dev/null
 
 echo "OK"
+
+# Code-size trend, informational only (it never fails the gate): non-test
+# Go lines per package directory, largest first, with the total.
+echo ">> non-test Go lines per package"
+find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' \
+	-exec wc -l {} + | awk '$2 != "total" { d = $2; sub(/\/[^\/]*$/, "", d); n[d] += $1; sum += $1 }
+	END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", sum }' | sort -rn || true
